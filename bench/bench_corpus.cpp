@@ -6,8 +6,8 @@
 // tools/bench_compare.py gates against bench/baselines/.
 //
 // Besides timing, the bench re-asserts the harness's three oracles on the
-// small CI corpus: zero clean-design false positives, every reachable
-// mutant detected, zero harness (witness/determinism) failures. Exit 1 on
+// small CI corpus: zero clean-design false positives, every simulator-shown
+// Trojan detected, zero harness (witness/determinism) failures. Exit 1 on
 // any violation, so the quick-mode CI leg doubles as a smoke test.
 //
 //   --seed=N      corpus seed (default 42)
@@ -113,7 +113,7 @@ int run(int argc, const char* const* argv) {
   }
   if (report.missed_count != 0) {
     std::cerr << "FAIL: " << report.missed_count
-              << " simulator-reachable mutant(s) not flagged\n";
+              << " simulator-shown Trojan(s) not flagged\n";
     ok = false;
   }
   if (report.failure_count != 0) {

@@ -4,7 +4,7 @@
 
 #include "netlist/coi.hpp"
 #include "netlist/scoap.hpp"
-#include "sim/ternary.hpp"
+#include "sim/eval.hpp"
 #include "telemetry/progress.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/span.hpp"
@@ -42,14 +42,24 @@ class Engine {
         scoap_(options.use_scoap_guidance ? netlist::compute_scoap(nl)
                                           : Scoap{}) {
     // Cone-of-influence reduction: only gates that can affect the bad
-    // signal are simulated and searched.
+    // signal are simulated and searched. The cone's inputs and DFFs are
+    // kept apart from its gates: each frame writes them, then evaluates
+    // the gates.
     const std::vector<bool> cone = netlist::sequential_coi(nl, {bad});
     std::vector<SignalId> filtered;
     filtered.reserve(topo_.size());
     for (const SignalId id : topo_) {
-      if (cone[id]) filtered.push_back(id);
+      if (!cone[id]) continue;
+      if (nl.gate(id).op == Op::kDff) {
+        cone_dffs_.push_back(id);
+      } else if (nl.gate(id).op != Op::kInput) {
+        filtered.push_back(id);
+      }
     }
     topo_ = std::move(filtered);
+    for (std::size_t i = 0; i < nl.num_inputs(); ++i) {
+      if (cone[nl.inputs()[i]]) cone_inputs_.push_back(i);
+    }
     if (!options.use_scoap_guidance) {
       scoap_.cc0.assign(nl.size(), 1);
       scoap_.cc1.assign(nl.size(), 1);
@@ -194,9 +204,9 @@ class Engine {
       // hit can be converted into a witness.
       std::vector<std::vector<bool>> history;
       auto& vals = values_[0];
-      std::vector<Ternary> regs(nl_.dffs().size());
-      for (std::size_t i = 0; i < nl_.dffs().size(); ++i) {
-        regs[i] = sim::t_from_bool(nl_.gate(nl_.dffs()[i]).init);
+      std::vector<Ternary> regs(cone_dffs_.size());
+      for (std::size_t i = 0; i < cone_dffs_.size(); ++i) {
+        regs[i] = sim::t_from_bool(nl_.gate(cone_dffs_[i]).init);
       }
       // Weighted random patterns (industry standard): each input gets a
       // per-sequence bias so rare-but-necessary polarities (e.g. an
@@ -223,48 +233,13 @@ class Engine {
                                      : (rng_.next_below(16) < bias[i]);
         }
         // One combinational evaluation with concrete state and inputs.
-        for (std::size_t i = 0; i < nl_.dffs().size(); ++i) {
-          vals[nl_.dffs()[i]] = regs[i];
+        for (const std::size_t i : cone_inputs_) {
+          vals[nl_.inputs()[i]] = sim::t_from_bool(frame_inputs[i]);
         }
-        for (const SignalId id : topo_) {
-          const Gate& g = nl_.gate(id);
-          switch (g.op) {
-            case Op::kConst0: vals[id] = Ternary::kZero; break;
-            case Op::kConst1: vals[id] = Ternary::kOne; break;
-            case Op::kInput:
-              vals[id] = sim::t_from_bool(
-                  frame_inputs[nl_.input_index(id)]);
-              break;
-            case Op::kDff: break;
-            case Op::kBuf: vals[id] = vals[g.fanin[0]]; break;
-            case Op::kNot: vals[id] = sim::t_not(vals[g.fanin[0]]); break;
-            case Op::kAnd:
-              vals[id] = sim::t_and(vals[g.fanin[0]], vals[g.fanin[1]]);
-              break;
-            case Op::kOr:
-              vals[id] = sim::t_or(vals[g.fanin[0]], vals[g.fanin[1]]);
-              break;
-            case Op::kXor:
-              vals[id] = sim::t_xor(vals[g.fanin[0]], vals[g.fanin[1]]);
-              break;
-            case Op::kXnor:
-              vals[id] = sim::t_not(
-                  sim::t_xor(vals[g.fanin[0]], vals[g.fanin[1]]));
-              break;
-            case Op::kNand:
-              vals[id] = sim::t_not(
-                  sim::t_and(vals[g.fanin[0]], vals[g.fanin[1]]));
-              break;
-            case Op::kNor:
-              vals[id] = sim::t_not(
-                  sim::t_or(vals[g.fanin[0]], vals[g.fanin[1]]));
-              break;
-            case Op::kMux:
-              vals[id] = sim::t_mux(vals[g.fanin[0]], vals[g.fanin[1]],
-                                    vals[g.fanin[2]]);
-              break;
-          }
+        for (std::size_t i = 0; i < cone_dffs_.size(); ++i) {
+          vals[cone_dffs_[i]] = regs[i];
         }
+        sim::eval_comb(nl_, topo_, vals.data());
         implications_++;
         if (vals[bad_] == Ternary::kOne && f >= options_.start_frame) {
           result.status = AtpgStatus::kViolated;
@@ -283,8 +258,8 @@ class Engine {
           TS_LOG_DEBUG("atpg: random phase hit at frame %zu (seq %zu)", f, s);
           return true;
         }
-        for (std::size_t i = 0; i < nl_.dffs().size(); ++i) {
-          regs[i] = vals[nl_.gate(nl_.dffs()[i]).fanin[0]];
+        for (std::size_t i = 0; i < cone_dffs_.size(); ++i) {
+          regs[i] = vals[nl_.gate(cone_dffs_[i]).fanin[0]];
         }
       }
     }
@@ -310,55 +285,15 @@ class Engine {
     for (std::size_t f = from; f <= upto; ++f) {
       implications_++;
       auto& vals = values_[f];
-      for (const SignalId id : topo_) {
-        const Gate& g = nl_.gate(id);
-        switch (g.op) {
-          case Op::kConst0:
-            vals[id] = Ternary::kZero;
-            break;
-          case Op::kConst1:
-            vals[id] = Ternary::kOne;
-            break;
-          case Op::kInput:
-            vals[id] = pi_assign_[f][nl_.input_index(id)];
-            break;
-          case Op::kDff:
-            vals[id] = f == 0 ? sim::t_from_bool(g.init)
-                              : values_[f - 1][g.fanin[0]];
-            break;
-          case Op::kBuf:
-            vals[id] = vals[g.fanin[0]];
-            break;
-          case Op::kNot:
-            vals[id] = sim::t_not(vals[g.fanin[0]]);
-            break;
-          case Op::kAnd:
-            vals[id] = sim::t_and(vals[g.fanin[0]], vals[g.fanin[1]]);
-            break;
-          case Op::kOr:
-            vals[id] = sim::t_or(vals[g.fanin[0]], vals[g.fanin[1]]);
-            break;
-          case Op::kXor:
-            vals[id] = sim::t_xor(vals[g.fanin[0]], vals[g.fanin[1]]);
-            break;
-          case Op::kXnor:
-            vals[id] =
-                sim::t_not(sim::t_xor(vals[g.fanin[0]], vals[g.fanin[1]]));
-            break;
-          case Op::kNand:
-            vals[id] =
-                sim::t_not(sim::t_and(vals[g.fanin[0]], vals[g.fanin[1]]));
-            break;
-          case Op::kNor:
-            vals[id] =
-                sim::t_not(sim::t_or(vals[g.fanin[0]], vals[g.fanin[1]]));
-            break;
-          case Op::kMux:
-            vals[id] = sim::t_mux(vals[g.fanin[0]], vals[g.fanin[1]],
-                                  vals[g.fanin[2]]);
-            break;
-        }
+      for (const std::size_t i : cone_inputs_) {
+        vals[nl_.inputs()[i]] = pi_assign_[f][i];
       }
+      for (const SignalId dff : cone_dffs_) {
+        const Gate& g = nl_.gate(dff);
+        vals[dff] = f == 0 ? sim::t_from_bool(g.init)
+                           : values_[f - 1][g.fanin[0]];
+      }
+      sim::eval_comb(nl_, topo_, vals.data());
     }
   }
 
@@ -642,7 +577,9 @@ class Engine {
   const Netlist& nl_;
   SignalId bad_;
   AtpgOptions options_;
-  std::vector<SignalId> topo_;
+  std::vector<SignalId> topo_;          // cone gates, sources excluded
+  std::vector<SignalId> cone_dffs_;
+  std::vector<std::size_t> cone_inputs_;  // input ordinals
   Scoap scoap_;
   std::vector<std::vector<Ternary>> values_;      // [frame][signal]
   std::vector<std::vector<Ternary>> pi_assign_;   // [frame][input ordinal]

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <unordered_map>
+#include <vector>
 
+#include "sim/eval.hpp"
 #include "util/rng.hpp"
 
 namespace trojanscout::baselines {
@@ -71,32 +72,9 @@ Cone carve_cone(const Netlist& nl, SignalId root, std::size_t max_inputs) {
 
 /// 64-way bit-parallel evaluation of the cone body given boundary words.
 std::uint64_t eval_cone(const Netlist& nl, const Cone& cone,
-                        std::unordered_map<SignalId, std::uint64_t>& values,
-                        SignalId root) {
-  for (const SignalId id : cone.body) {
-    const Gate& g = nl.gate(id);
-    auto in = [&](int k) { return values.at(g.fanin[k]); };
-    std::uint64_t v = 0;
-    switch (g.op) {
-      case Op::kConst0: v = 0; break;
-      case Op::kConst1: v = ~0ull; break;
-      case Op::kBuf: v = in(0); break;
-      case Op::kNot: v = ~in(0); break;
-      case Op::kAnd: v = in(0) & in(1); break;
-      case Op::kOr: v = in(0) | in(1); break;
-      case Op::kXor: v = in(0) ^ in(1); break;
-      case Op::kXnor: v = ~(in(0) ^ in(1)); break;
-      case Op::kNand: v = ~(in(0) & in(1)); break;
-      case Op::kNor: v = ~(in(0) | in(1)); break;
-      case Op::kMux: v = (in(0) & in(1)) | (~in(0) & in(2)); break;
-      case Op::kInput:
-      case Op::kDff:
-        v = values.at(id);
-        break;
-    }
-    values[id] = v;
-  }
-  return values.at(root);
+                        std::vector<std::uint64_t>& values, SignalId root) {
+  sim::eval_comb(nl, cone.body, values.data());
+  return values[root];
 }
 
 }  // namespace
@@ -105,6 +83,9 @@ FanciReport run_fanci(const Netlist& nl, const FanciOptions& options) {
   FanciReport report;
   util::Xoshiro256 rng(options.seed);
   const std::size_t passes = (options.samples + 63) / 64;
+  // Indexed by SignalId and reused across roots: each cone writes its
+  // boundary before evaluating its body, so stale entries are never read.
+  std::vector<std::uint64_t> values(nl.size(), 0);
 
   for (SignalId root = 0; root < nl.size(); ++root) {
     const Gate& g = nl.gate(root);
@@ -115,8 +96,6 @@ FanciReport run_fanci(const Netlist& nl, const FanciOptions& options) {
     if (cone.boundary.empty()) continue;  // constant wire
 
     std::vector<std::uint64_t> flip_counts(cone.boundary.size(), 0);
-    std::unordered_map<SignalId, std::uint64_t> values;
-    values.reserve(cone.body.size() + cone.boundary.size());
 
     for (std::size_t pass = 0; pass < passes; ++pass) {
       for (const SignalId b : cone.boundary) values[b] = rng.next();

@@ -40,6 +40,26 @@ core::Obligation finding_obligation(const core::Finding& finding) {
   return ob;
 }
 
+/// Whether the payload, with the trigger high in `simulator`'s current
+/// cycle, gives the target register a next state other than its golden
+/// one. The Section-4 styles leave the register's update intact and instead
+/// reroute its readers to a register the trigger corrupts (pseudo-critical)
+/// or freezes (bypass), so for them the trigger firing is itself the
+/// change.
+bool payload_changes_next_state(const sim::Simulator& simulator,
+                                const Mutant& mutant) {
+  if (mutant.golden_next.empty()) return true;
+  const netlist::Netlist& nl = mutant.design.nl;
+  const netlist::Word& dffs = nl.find_register(mutant.spec.target).dffs;
+  for (std::size_t i = 0; i < dffs.size(); ++i) {
+    if (simulator.value(nl.gate(dffs[i]).fanin[0]) !=
+        simulator.value(mutant.golden_next[i])) {
+      return true;
+    }
+  }
+  return false;
+}
+
 double quantile(const std::vector<double>& sorted, double q) {
   if (sorted.empty()) return 0.0;
   const std::size_t index = static_cast<std::size_t>(
@@ -91,20 +111,22 @@ VariantOutcome CorpusHarness::run_variant(const MutationSpec& spec) {
       std::min(mutant.fire_depth + options_.frames_slack, options_.frames_cap);
   out.deep = mutant.fire_depth >= out.frames;
 
-  // Ground truth: can the cycle-accurate simulator fire the trigger within
-  // the frame bound by replaying the generator's activation sequence?
+  // Ground truth: replay the generator's activation sequence on the
+  // cycle-accurate simulator within the frame bound. `reachable`: the
+  // trigger fires. `payload_shown`: on a cycle where it fires, the payload
+  // changes the target register's next state.
   {
     sim::Simulator simulator(mutant.design.nl);
     simulator.reset();
     const std::size_t sim_frames =
         std::min(mutant.activation.size(), out.frames);
-    for (std::size_t t = 0; t < sim_frames; ++t) {
+    for (std::size_t t = 0; t < sim_frames && !out.payload_shown; ++t) {
       simulator.set_inputs(mutant.activation[t].bits);
       simulator.eval();
       if (simulator.value(mutant.design.trojan_trigger)) {
+        if (!out.reachable) out.fire_frame = t;
         out.reachable = true;
-        out.fire_frame = t;
-        break;
+        out.payload_shown = payload_changes_next_state(simulator, mutant);
       }
       simulator.step();
     }
@@ -179,9 +201,12 @@ VariantOutcome CorpusHarness::run_variant(const MutationSpec& spec) {
     }
   }
 
-  // Oracle 2a: simulator-reachable mutants must be flagged.
-  if (out.failure.empty() && out.reachable && !out.detected) {
-    out.failure = "detection: simulator-reachable mutant not flagged";
+  // Oracle 2a: a mutant whose replay shows the Trojan (trigger fired and
+  // the payload changed the target's next state) must be flagged. A fired
+  // trigger alone is not enough: e.g. rotating an all-zero register
+  // changes nothing, and a bounded audit rightly finds no violation.
+  if (out.failure.empty() && out.payload_shown && !out.detected) {
+    out.failure = "detection: simulator-shown Trojan not flagged";
   }
 
   if (out.failure.empty() && options_.inject_failure &&
@@ -283,7 +308,7 @@ CorpusReport CorpusHarness::run(const std::vector<MutationSpec>& corpus,
       ++report.reachable_count;
       if (outcome.detected) {
         ++report.detected_count;
-      } else {
+      } else if (outcome.payload_shown) {
         ++report.missed_count;
       }
     }
@@ -425,6 +450,7 @@ proof::Json CorpusReport::to_json(bool include_timing) const {
     v.set("reachable", outcome.reachable);
     if (outcome.reachable) {
       v.set("fire_frame", static_cast<std::uint64_t>(outcome.fire_frame));
+      v.set("payload_shown", outcome.payload_shown);
     }
     v.set("detected", outcome.detected);
     if (outcome.detected) {
@@ -478,6 +504,7 @@ std::string CorpusReport::summary() const {
   std::ostringstream os;
   os << variants.size() << " variants: " << reachable_count << " reachable, "
      << detected_count << " detected, " << missed_count << " missed, "
+     << (reachable_count - detected_count - missed_count) << " inert, "
      << (variants.size() - reachable_count) << " unreachable; "
      << "detection rate "
      << static_cast<int>(detection_rate * 100.0 + 0.5) << "%; "

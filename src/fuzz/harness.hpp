@@ -5,11 +5,15 @@
 //  1. False-positive gate: the clean design of every family appearing in
 //     the corpus is audited with the same engine configuration and must
 //     stay all-pass.
-//  2. Detection gate: a mutant whose trigger the cycle-accurate simulator
-//     can fire within the frame bound ("simulator-reachable") must be
-//     flagged by at least one Eq. 2/3/4 obligation, and every finding's
-//     witness must be confirmed by sim::replay_confirms on the same
-//     instrumented netlist the engine ran on.
+//  2. Detection gate: a mutant whose activation sequence, replayed on the
+//     cycle-accurate simulator within the frame bound, fires the trigger
+//     ("simulator-reachable") *and* on a fired cycle changes the target
+//     register's next state ("payload shown") must be flagged by at least
+//     one Eq. 2/3/4 obligation. A reachable mutant whose payload changes
+//     nothing on the replay (e.g. a rotation of an all-zero register) is
+//     "inert": not a miss. Every finding's witness must be confirmed by
+//     sim::replay_confirms on the same instrumented netlist the engine ran
+//     on.
 //  3. Determinism gate: a warm-cache re-run with a different --jobs count
 //     must produce a byte-identical timing-stripped report signature
 //     (cold-vs-warm and serial-vs-parallel in one pass).
@@ -69,6 +73,9 @@ struct VariantOutcome {
   bool reachable = false;
   /// First cycle the simulator saw the trigger high (SIZE_MAX if never).
   std::size_t fire_frame = static_cast<std::size_t>(-1);
+  /// On a replayed cycle with the trigger high, the payload changed the
+  /// target register's next state: the Trojan is shown, not just armed.
+  bool payload_shown = false;
   bool detected = false;
   std::string finding_property;  // first finding's obligation name
   bool witness_confirmed = true;
@@ -111,7 +118,7 @@ struct CorpusReport {
 
   std::size_t reachable_count = 0;
   std::size_t detected_count = 0;   // reachable && detected
-  std::size_t missed_count = 0;     // reachable && !detected
+  std::size_t missed_count = 0;     // payload_shown && !detected
   std::size_t false_positive_count = 0;  // clean-audit findings
   std::size_t failure_count = 0;    // variants with an oracle violation
   /// detected / reachable (1.0 when nothing was reachable).

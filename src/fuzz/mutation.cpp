@@ -264,8 +264,9 @@ SignalId build_trigger(Netlist& nl, const MutationSpec& spec,
 }
 
 /// Wraps a corruption mux around the target register's golden next-state
-/// cone for the four direct payload styles.
-void insert_direct_payload(Netlist& nl, const MutationSpec& spec,
+/// cone for the four direct payload styles; returns the golden next-state
+/// signals the muxes' untriggered side reads.
+Word insert_direct_payload(Netlist& nl, const MutationSpec& spec,
                            SignalId trigger) {
   const netlist::Register reg = nl.find_register(spec.target);  // copy
   const std::size_t w = reg.dffs.size();
@@ -298,6 +299,7 @@ void insert_direct_payload(Netlist& nl, const MutationSpec& spec,
     nl.rewire_dff_input(reg.dffs[i],
                         nl.b_mux(trigger, corrupted[i], old_d[i]));
   }
+  return old_d;
 }
 
 }  // namespace
@@ -368,7 +370,7 @@ Mutant build_mutant(const MutationSpec& raw) {
       designs::plant_bypass(design, spec.target);
       break;
     default:
-      insert_direct_payload(nl, spec, trigger);
+      mutant.golden_next = insert_direct_payload(nl, spec, trigger);
       break;
   }
   design.name = spec.name();

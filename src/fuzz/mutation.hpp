@@ -98,6 +98,12 @@ struct Mutant {
   /// Input sequence of fire_depth + 1 frames driving the trigger from
   /// reset: stage patterns on the tapped bits, zero elsewhere.
   std::vector<sim::InputFrame> activation;
+  /// Direct payload styles: the target register's golden next-state
+  /// signals (LSB first). Its DFFs read mux(trigger, corrupted, golden), so
+  /// the payload shows on a triggered cycle exactly when some DFF input
+  /// differs from its golden signal. Empty for kPseudoCritical / kBypass,
+  /// which leave the register's own update intact.
+  netlist::Word golden_next;
 };
 
 /// Builds the mutant for a spec. Throws std::invalid_argument on an

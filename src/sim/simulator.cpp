@@ -1,152 +1,8 @@
 #include "sim/simulator.hpp"
 
-#include <stdexcept>
-
 namespace trojanscout::sim {
 
-using netlist::Gate;
-using netlist::kNullSignal;
-using netlist::Netlist;
-using netlist::Op;
-using netlist::SignalId;
-using netlist::Word;
-
-Simulator::Simulator(const Netlist& nl)
-    : nl_(nl), topo_(nl.topo_order()), values_(nl.size(), 0) {
-  reset();
-}
-
-void Simulator::reset() {
-  for (SignalId id = 0; id < nl_.size(); ++id) {
-    values_[id] = 0;
-  }
-  values_[nl_.const1()] = 1;
-  for (const SignalId dff : nl_.dffs()) {
-    values_[dff] = nl_.gate(dff).init ? 1 : 0;
-  }
-  eval();
-}
-
-void Simulator::set_input(SignalId input, bool value) {
-  if (nl_.gate(input).op != Op::kInput) {
-    throw std::invalid_argument("set_input: signal is not a primary input");
-  }
-  values_[input] = value ? 1 : 0;
-}
-
-void Simulator::set_input_port(const std::string& name, std::uint64_t value) {
-  const auto& port = nl_.input_port(name);
-  for (std::size_t i = 0; i < port.bits.size(); ++i) {
-    values_[port.bits[i]] = (i < 64 && ((value >> i) & 1u)) ? 1 : 0;
-  }
-}
-
-void Simulator::set_input_port(const std::string& name,
-                               const util::BitVec& value) {
-  const auto& port = nl_.input_port(name);
-  for (std::size_t i = 0; i < port.bits.size(); ++i) {
-    values_[port.bits[i]] = (i < value.size() && value.get(i)) ? 1 : 0;
-  }
-}
-
-void Simulator::set_inputs(const util::BitVec& frame) {
-  const auto& ins = nl_.inputs();
-  for (std::size_t i = 0; i < ins.size(); ++i) {
-    values_[ins[i]] = (i < frame.size() && frame.get(i)) ? 1 : 0;
-  }
-}
-
-void Simulator::eval() {
-  for (const SignalId id : topo_) {
-    const Gate& g = nl_.gate(id);
-    switch (g.op) {
-      case Op::kConst0:
-        values_[id] = 0;
-        break;
-      case Op::kConst1:
-        values_[id] = 1;
-        break;
-      case Op::kInput:
-      case Op::kDff:
-        break;  // externally driven / state
-      case Op::kBuf:
-        values_[id] = values_[g.fanin[0]];
-        break;
-      case Op::kNot:
-        values_[id] = values_[g.fanin[0]] ^ 1u;
-        break;
-      case Op::kAnd:
-        values_[id] = values_[g.fanin[0]] & values_[g.fanin[1]];
-        break;
-      case Op::kOr:
-        values_[id] = values_[g.fanin[0]] | values_[g.fanin[1]];
-        break;
-      case Op::kXor:
-        values_[id] = values_[g.fanin[0]] ^ values_[g.fanin[1]];
-        break;
-      case Op::kXnor:
-        values_[id] = (values_[g.fanin[0]] ^ values_[g.fanin[1]]) ^ 1u;
-        break;
-      case Op::kNand:
-        values_[id] = (values_[g.fanin[0]] & values_[g.fanin[1]]) ^ 1u;
-        break;
-      case Op::kNor:
-        values_[id] = (values_[g.fanin[0]] | values_[g.fanin[1]]) ^ 1u;
-        break;
-      case Op::kMux:
-        values_[id] = values_[g.fanin[0]] != 0 ? values_[g.fanin[1]]
-                                               : values_[g.fanin[2]];
-        break;
-    }
-  }
-}
-
-void Simulator::step() {
-  eval();
-  // Latch every DFF from its data input simultaneously.
-  std::vector<std::uint8_t> next(nl_.dffs().size());
-  for (std::size_t i = 0; i < nl_.dffs().size(); ++i) {
-    const Gate& g = nl_.gate(nl_.dffs()[i]);
-    if (g.fanin[0] == kNullSignal) {
-      throw std::runtime_error("step: DFF with unconnected input");
-    }
-    next[i] = values_[g.fanin[0]];
-  }
-  for (std::size_t i = 0; i < nl_.dffs().size(); ++i) {
-    values_[nl_.dffs()[i]] = next[i];
-  }
-  eval();
-}
-
-std::uint64_t Simulator::read_word(const Word& word) const {
-  std::uint64_t out = 0;
-  for (std::size_t i = 0; i < word.size() && i < 64; ++i) {
-    out |= static_cast<std::uint64_t>(values_[word[i]]) << i;
-  }
-  return out;
-}
-
-util::BitVec Simulator::read_bits(const Word& word) const {
-  util::BitVec out(word.size());
-  for (std::size_t i = 0; i < word.size(); ++i) {
-    out.set(i, values_[word[i]] != 0);
-  }
-  return out;
-}
-
-std::uint64_t Simulator::read_register(const std::string& name) const {
-  return read_word(nl_.find_register(name).dffs);
-}
-
-util::BitVec Simulator::read_register_bits(const std::string& name) const {
-  return read_bits(nl_.find_register(name).dffs);
-}
-
-std::uint64_t Simulator::read_output(const std::string& name) const {
-  return read_word(nl_.output_port(name).bits);
-}
-
-std::vector<util::BitVec> replay_register(const Netlist& nl,
+std::vector<util::BitVec> replay_register(const netlist::Netlist& nl,
                                           const Witness& witness,
                                           const std::string& reg) {
   Simulator simulator(nl);

@@ -4,6 +4,9 @@
 // the paper.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+
 #include "baselines/fanci.hpp"
 #include "baselines/salmani.hpp"
 #include "baselines/veritrust.hpp"
@@ -84,6 +87,44 @@ TEST(Fanci, CleanDesignHasBoundedSuspectRate) {
   const designs::Design design = designs::build_clean("mc8051");
   const FanciReport report = run_fanci(design.nl, fast_fanci());
   EXPECT_LT(report.suspects.size(), report.wires_analyzed / 5);
+}
+
+/// FNV-1a over the exact suspect list: id, mean and median control value
+/// (hex floats, so every bit of the estimate counts).
+std::uint64_t suspect_list_hash(const FanciReport& report) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const auto& suspect : report.suspects) {
+    char line[96];
+    const int n = std::snprintf(line, sizeof line, "%u %a %a\n",
+                                static_cast<unsigned>(suspect.signal),
+                                suspect.mean_cv, suspect.median_cv);
+    for (int i = 0; i < n; ++i) {
+      h ^= static_cast<std::uint8_t>(line[i]);
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+// Pins the exact suspect lists (and so the RNG draw order and the
+// bit-parallel cone evaluation) on one clean and one Trojan design.
+// Harvested before FANCI's cone evaluation moved onto the shared gate
+// evaluator.
+TEST(Fanci, SuspectListsMatchTheirPins) {
+  const designs::Design clean = designs::build_clean("risc");
+  const FanciReport clean_report = run_fanci(clean.nl, fast_fanci());
+  EXPECT_EQ(clean_report.suspects.size(), 21u);
+  EXPECT_EQ(suspect_list_hash(clean_report), 0x60cabeb30de31934ull)
+      << std::hex << suspect_list_hash(clean_report);
+
+  designs::Mc8051Options options;
+  options.trojan = designs::Mc8051Trojan::kT700;
+  options.detrust_hardened = false;
+  const designs::Design naive = designs::build_mc8051(options);
+  const FanciReport naive_report = run_fanci(naive.nl, fast_fanci());
+  EXPECT_EQ(naive_report.suspects.size(), 11u);
+  EXPECT_EQ(suspect_list_hash(naive_report), 0xb7444eb9c4109dfdull)
+      << std::hex << suspect_list_hash(naive_report);
 }
 
 // ---- VeriTrust ---------------------------------------------------------------

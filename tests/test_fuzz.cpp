@@ -172,9 +172,57 @@ TEST(Fuzz, HarnessDetectsAReachableMutantWithConfirmedWitness) {
   CorpusHarness harness(options);
   const VariantOutcome outcome = harness.run_variant(spec);
   EXPECT_TRUE(outcome.reachable);
+  EXPECT_TRUE(outcome.payload_shown) << "a bit-flip always changes the bit";
   EXPECT_TRUE(outcome.detected);
   EXPECT_TRUE(outcome.witness_confirmed);
   EXPECT_FALSE(outcome.finding_property.empty());
+  EXPECT_TRUE(outcome.ok()) << outcome.failure;
+}
+
+TEST(Fuzz, InertPayloadIsNotAMissAndADeeperBoundDetectsIt) {
+  // Variant 124 of the seed-42 corpus: a one-bit combinational trigger
+  // fires in cycle 0 and rotates eeprom_address, which is still all-zero
+  // then, so the replay shows no Trojan. At the default 14-frame bound BMC
+  // exhausts the bound without an Eq. 2 violation; at 30 frames the core
+  // has time to load a nonzero address for the rotation to corrupt.
+  MutationSpec spec;
+  spec.family = "risc";
+  spec.trigger = TriggerKind::kCombinational;
+  spec.trigger_width = 1;
+  spec.pattern = 0xdfbaad167d9653e7ull;
+  spec.insertion_point = 15;
+  spec.target = "eeprom_address";
+  spec.payload = PayloadStyle::kSwap;
+  spec.payload_param = 0x1;
+  CorpusOptions corpus_options;
+  corpus_options.seed = 42;
+  corpus_options.count = 128;
+  const MutationSpec generated =
+      build_mutant(generate_corpus(corpus_options)[124]).spec;
+  ASSERT_EQ(generated.name(), spec.name());
+  ASSERT_EQ(generated.pattern, spec.pattern);
+
+  HarnessOptions options;
+  options.jobs = 1;
+  options.differential = false;
+  options.check_clean = false;
+  {
+    CorpusHarness harness(options);
+    const VariantOutcome outcome = harness.run_variant(spec);
+    EXPECT_EQ(outcome.frames, 14u);
+    EXPECT_TRUE(outcome.reachable);
+    EXPECT_EQ(outcome.fire_frame, 0u);
+    EXPECT_FALSE(outcome.payload_shown);
+    EXPECT_FALSE(outcome.detected);
+    EXPECT_TRUE(outcome.ok()) << outcome.failure;
+  }
+  options.frames_slack = 30;
+  options.frames_cap = 40;
+  CorpusHarness harness(options);
+  const VariantOutcome outcome = harness.run_variant(spec);
+  EXPECT_EQ(outcome.frames, 30u);
+  EXPECT_TRUE(outcome.detected);
+  EXPECT_TRUE(outcome.witness_confirmed);
   EXPECT_TRUE(outcome.ok()) << outcome.failure;
 }
 

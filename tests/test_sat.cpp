@@ -141,6 +141,13 @@ struct RandomCnfParams {
   std::uint64_t seed;
 };
 
+// Names each case by its fields, so the test name stays the same across
+// builds (gtest would otherwise print the struct's padding bytes).
+void PrintTo(const RandomCnfParams& p, std::ostream* os) {
+  *os << p.num_vars << " vars " << p.num_clauses << " clauses width "
+      << p.clause_width << " seed " << p.seed;
+}
+
 class SatRandomCross : public ::testing::TestWithParam<RandomCnfParams> {};
 
 TEST_P(SatRandomCross, MatchesBruteForce) {

@@ -1,42 +1,200 @@
-// Simulator tests: 2-valued and 3-valued semantics, witness replay, and the
-// VCD dump.
+// Simulator tests: the shared gate evaluator's truth tables in every value
+// domain, 2-valued and 3-valued simulation, witness replay, and the VCD
+// dump.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <vector>
 
 #include "netlist/wordops.hpp"
+#include "sim/eval.hpp"
 #include "sim/simulator.hpp"
-#include "sim/ternary_simulator.hpp"
 #include "sim/vcd.hpp"
+#include "util/rng.hpp"
 
 namespace trojanscout::sim {
 namespace {
 
 using netlist::Netlist;
+using netlist::Op;
 using netlist::SignalId;
 using netlist::Word;
 
+// ---- gate semantics ---------------------------------------------------------
+//
+// One truth table per combinational op, written out here independently of
+// sim/eval.hpp, checked against eval_gate in every value domain.
+
+struct TruthRow {
+  Op op;
+  int arity;
+  /// Output per input combination; the combination's index reads the
+  /// fanins as a binary number with fanin 0 as the most significant bit.
+  const char* outputs;
+};
+
+constexpr TruthRow kTruthTable[] = {
+    {Op::kConst0, 0, "0"},
+    {Op::kConst1, 0, "1"},
+    {Op::kBuf, 1, "01"},
+    {Op::kNot, 1, "10"},
+    {Op::kAnd, 2, "0001"},
+    {Op::kOr, 2, "0111"},
+    {Op::kXor, 2, "0110"},
+    {Op::kXnor, 2, "1001"},
+    {Op::kNand, 2, "1110"},
+    {Op::kNor, 2, "1000"},
+    {Op::kMux, 3, "01010011"},  // fanins (sel, t, f): sel ? t : f
+};
+
+/// The gate under test reads value slots 0..2; slot 3 is its own signal.
+constexpr SignalId kSelf = 3;
+
+template <class V>
+V eval_op(Op op, std::array<V, 4> slots) {
+  netlist::Gate g;
+  g.op = op;
+  g.fanin = {0, 1, 2};
+  return eval_gate(g, slots.data(), kSelf);
+}
+
+bool fanin_bit(const TruthRow& row, unsigned index, int k) {
+  return ((index >> (row.arity - 1 - k)) & 1u) != 0;
+}
+
+bool expected(const TruthRow& row, unsigned index) {
+  return row.outputs[index] == '1';
+}
+
 TEST(Simulator, CombinationalGateSemantics) {
-  Netlist nl;
-  const SignalId a = nl.add_input();
-  const SignalId b = nl.add_input();
-  const SignalId g_and = nl.b_and(a, b);
-  const SignalId g_or = nl.b_or(a, b);
-  const SignalId g_xor = nl.b_xor(a, b);
-  const SignalId g_mux = nl.b_mux(a, b, nl.b_not(b));
-  Simulator s(nl);
-  for (int va = 0; va <= 1; ++va) {
-    for (int vb = 0; vb <= 1; ++vb) {
-      s.set_input(a, va != 0);
-      s.set_input(b, vb != 0);
-      s.eval();
-      EXPECT_EQ(s.value(g_and), (va & vb) != 0);
-      EXPECT_EQ(s.value(g_or), (va | vb) != 0);
-      EXPECT_EQ(s.value(g_xor), (va ^ vb) != 0);
-      EXPECT_EQ(s.value(g_mux), (va != 0 ? vb : !vb) != 0);
+  // The table covers every op except the two sources.
+  for (int raw = 0; raw <= static_cast<int>(Op::kDff); ++raw) {
+    const Op op = static_cast<Op>(raw);
+    if (op == Op::kInput || op == Op::kDff) continue;
+    const bool covered = std::any_of(
+        std::begin(kTruthTable), std::end(kTruthTable),
+        [&](const TruthRow& row) {
+          return row.op == op && row.arity == netlist::op_arity(op);
+        });
+    EXPECT_TRUE(covered) << netlist::op_name(op);
+  }
+
+  for (const TruthRow& row : kTruthTable) {
+    SCOPED_TRACE(netlist::op_name(row.op));
+    for (unsigned index = 0; index < (1u << row.arity); ++index) {
+      std::array<Bool, 4> bools{};
+      std::array<Ternary, 4> ternaries{};
+      std::array<Lanes64, 4> lanes{};
+      for (int k = 0; k < row.arity; ++k) {
+        const bool bit = fanin_bit(row, index, k);
+        bools[k] = bit ? 1 : 0;
+        ternaries[k] = t_from_bool(bit);
+        lanes[k] = bit ? ~0ull : 0;
+      }
+      const bool want = expected(row, index);
+      EXPECT_EQ(eval_op(row.op, bools), want ? 1 : 0) << "inputs " << index;
+      EXPECT_EQ(eval_op(row.op, ternaries), t_from_bool(want))
+          << "inputs " << index;
+      EXPECT_EQ(eval_op(row.op, lanes), want ? ~0ull : 0ull)
+          << "inputs " << index;
     }
   }
+}
+
+TEST(GateSemantics, SourcesKeepTheirValueInEveryDomain) {
+  for (const Op op : {Op::kInput, Op::kDff}) {
+    EXPECT_EQ(eval_op<Bool>(op, {0, 0, 0, 1}), 1);
+    EXPECT_EQ(eval_op<Ternary>(op, {Ternary::kOne, Ternary::kOne,
+                                    Ternary::kOne, Ternary::kX}),
+              Ternary::kX);
+    EXPECT_EQ(eval_op<Lanes64>(op, {0, 0, 0, 0x1234}), 0x1234u);
+  }
+}
+
+TEST(GateSemantics, TernaryIsTheExactXMonotoneAbstraction) {
+  // For every 0/1/X input combination the ternary output is the value all
+  // 0/1 completions of the X inputs agree on, and X when they disagree; and
+  // refining one X input to 0 or 1 never flips a known output.
+  for (const TruthRow& row : kTruthTable) {
+    SCOPED_TRACE(netlist::op_name(row.op));
+    int combos = 1;
+    for (int k = 0; k < row.arity; ++k) combos *= 3;
+    for (int combo = 0; combo < combos; ++combo) {
+      std::array<Ternary, 4> in{};
+      for (int k = 0, c = combo; k < row.arity; ++k, c /= 3) {
+        in[k] = static_cast<Ternary>(c % 3);  // kZero, kOne, kX
+      }
+      bool seen[2] = {false, false};
+      for (unsigned index = 0; index < (1u << row.arity); ++index) {
+        bool consistent = true;
+        for (int k = 0; k < row.arity; ++k) {
+          if (in[k] != Ternary::kX &&
+              (in[k] == Ternary::kOne) != fanin_bit(row, index, k)) {
+            consistent = false;
+          }
+        }
+        if (consistent) seen[expected(row, index) ? 1 : 0] = true;
+      }
+      const Ternary out = eval_op(row.op, in);
+      EXPECT_EQ(out, seen[0] && seen[1] ? Ternary::kX : t_from_bool(seen[1]))
+          << "combo " << combo;
+      if (!t_is_known(out)) continue;
+      for (int k = 0; k < row.arity; ++k) {
+        if (in[k] != Ternary::kX) continue;
+        for (const Ternary refined : {Ternary::kZero, Ternary::kOne}) {
+          std::array<Ternary, 4> narrower = in;
+          narrower[k] = refined;
+          EXPECT_EQ(eval_op(row.op, narrower), out)
+              << "combo " << combo << " refining fanin " << k;
+        }
+      }
+    }
+  }
+}
+
+TEST(GateSemantics, Lanes64LaneIEqualsBoolOnLaneI) {
+  util::Xoshiro256 rng(0x1a7e5);
+  for (const TruthRow& row : kTruthTable) {
+    SCOPED_TRACE(netlist::op_name(row.op));
+    for (int trial = 0; trial < 16; ++trial) {
+      std::array<Lanes64, 4> words{};
+      for (int k = 0; k < 3; ++k) words[k] = rng.next();
+      // The low lanes enumerate every input combination exactly.
+      for (unsigned lane = 0; lane < (1u << row.arity); ++lane) {
+        for (int k = 0; k < row.arity; ++k) {
+          words[k] &= ~(1ull << lane);
+          if (fanin_bit(row, lane, k)) words[k] |= 1ull << lane;
+        }
+      }
+      const Lanes64 out = eval_op(row.op, words);
+      for (unsigned lane = 0; lane < 64; ++lane) {
+        std::array<Bool, 4> bools{};
+        for (int k = 0; k < 3; ++k) bools[k] = (words[k] >> lane) & 1u;
+        EXPECT_EQ((out >> lane) & 1u, eval_op(row.op, bools))
+            << "lane " << lane;
+      }
+    }
+  }
+}
+
+TEST(GateSemantics, EvalCombLeavesInputsAndDffsAsTheyAre) {
+  Netlist nl;
+  const SignalId a = nl.add_input();
+  const SignalId q = nl.add_dff(false);
+  nl.connect_dff_input(q, nl.b_not(q));
+  const SignalId g = nl.b_and(a, q);
+  std::vector<Bool> values(nl.size(), 0);
+  values[a] = 1;
+  values[q] = 1;  // differs from both the reset value and the next state
+  eval_comb(nl, nl.topo_order(), values.data());
+  EXPECT_EQ(values[a], 1);
+  EXPECT_EQ(values[q], 1);
+  EXPECT_EQ(values[g], 1);
+  EXPECT_EQ(values[nl.const1()], 1);
 }
 
 TEST(Simulator, DffLatchesOnStepAndResets) {

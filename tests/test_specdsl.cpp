@@ -106,6 +106,10 @@ struct BadSpecCase {
   const char* message;
 };
 
+// Names each case by its label, so the test name stays the same across
+// builds (gtest would otherwise print the struct's pointer bytes).
+void PrintTo(const BadSpecCase& c, std::ostream* os) { *os << c.label; }
+
 class SpecDslErrors : public ::testing::TestWithParam<BadSpecCase> {};
 
 /// A spec author fixes what the diagnostic names: every parse error must

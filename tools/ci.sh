@@ -71,10 +71,11 @@ if command -v python3 >/dev/null 2>&1; then
 
   echo "=== [release] fuzz smoke: mutation corpus differential harness ==="
   # The seeded sweep re-asserts the harness's three oracles (no clean-design
-  # false positives, every simulator-reachable mutant detected, jobs-
-  # invariant signatures). CI runs a 40-variant corpus; nightly jobs export
-  # TROJANSCOUT_FUZZ_COUNT=200 for the full Section-4 style sweep.
-  fuzz_count="${TROJANSCOUT_FUZZ_COUNT:-40}"
+  # false positives, every simulator-shown Trojan detected, jobs-invariant
+  # signatures). CI runs the 128-variant corpus the benchmark's fuzz-corpus
+  # workload runs; nightly jobs export TROJANSCOUT_FUZZ_COUNT=200 for the
+  # full Section-4 style sweep.
+  fuzz_count="${TROJANSCOUT_FUZZ_COUNT:-128}"
   "$rel/tools/trojanscout_cli" fuzz --seed=42 --count="$fuzz_count" \
       --jobs=2 --out="$art/corpus.json" \
       --signature-out="$art/corpus_sig_jobs2" >"$art/fuzz_jobs2.log" 2>&1

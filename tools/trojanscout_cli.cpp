@@ -60,7 +60,7 @@
 //
 // `fuzz` sweeps a seeded Trojan mutation corpus over the catalog's clean
 // cores and cross-checks the detector against three oracles (clean designs
-// all-pass, simulator-reachable mutants flagged with replay-confirmed
+// all-pass, simulator-shown Trojans flagged with replay-confirmed
 // witnesses, cold/warm x jobs determinism), emitting a
 // `trojanscout-corpus-v1` artifact with detection rate and latency
 // quantiles. --shrink minimizes the first failing variant.
@@ -1548,7 +1548,8 @@ int cmd_fuzz(const util::CliParser& cli) {
       const fuzz::VariantOutcome& v = report.variants[i];
       std::cout << "[" << i << "] " << v.spec.name() << " frames=" << v.frames;
       if (v.reachable) {
-        std::cout << " fires@" << v.fire_frame;
+        std::cout << " fires@" << v.fire_frame
+                  << (v.payload_shown ? "" : " inert");
       } else {
         std::cout << (v.deep ? " deep" : " unreachable");
       }
