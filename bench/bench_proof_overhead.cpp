@@ -4,10 +4,10 @@
 // variants of every family), the harness runs the full Algorithm 1 audit
 // three ways and diffs them:
 //
-//   * detect:  plain serial TrojanDetector (proof logging off) — the
-//     baseline the <2%-when-disabled budget is measured against (the
-//     listener hook is compiled in either way; "off" is a null pointer
-//     check in the solver hot loop).
+//   * detect:  plain audit, core::ParallelDetector at one job (proof
+//     logging off) — the baseline the <2%-when-disabled budget is measured
+//     against (the listener hook is compiled in either way; "off" is a
+//     null pointer check in the solver hot loop).
 //   * certify: proof::certify with DRAT logging on, at 1/2/4/8 worker
 //     threads — the overhead of recording the formula, streaming learned
 //     and deleted clauses, and snapshotting per-frame UNSAT marks.
@@ -16,8 +16,9 @@
 //     re-derived formulas), which should undercut certify time since lazy
 //     backward checking skips every lemma outside the dependency core.
 //
-// The harness exits 1 if any certificate fails its own check or the
-// serial and 8-job certificates are not byte-identical.
+// The harness exits 1 if any certificate fails its own check, the 1-job
+// and 8-job certificates are not byte-identical, or a certificate's report
+// signature differs from the plain audit's.
 //
 //   --frames=N        unroll bound per obligation (default 8)
 //   --budget=S        per-obligation engine budget (default 600)
@@ -27,6 +28,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "core/parallel_detector.hpp"
 #include "proof/certificate.hpp"
 #include "util/stopwatch.hpp"
 
@@ -81,22 +83,22 @@ int run(int argc, const char* const* argv) {
   bool all_ok = true;
   for (auto& workload : workloads) {
     const core::DetectorOptions options = audit_options(cli);
-
-    core::TrojanDetector detector(workload.design, options);
-    const std::size_t obligations = detector.enumerate_obligations().size();
+    core::ParallelDetectorOptions detect_options;
+    detect_options.detector = options;
+    detect_options.jobs = 1;
     util::Stopwatch detect_timer;
-    const core::DetectionReport report = detector.run();
+    const core::DetectionReport report =
+        core::ParallelDetector(workload.design, detect_options).run();
     const double detect_seconds = detect_timer.elapsed_seconds();
 
     proof::CertifyOptions certify_options;
     certify_options.detector = options;
 
     std::vector<std::string> cells = {workload.name,
-                                      std::to_string(obligations),
+                                      std::to_string(report.runs.size()),
                                       util::cell_double(detect_seconds, 2)};
     proof::Certificate certificate;
     std::string serial_dump;
-    double serial_certify_seconds = 0.0;
     for (const std::size_t jobs : {1u, 2u, 4u, 8u}) {
       certify_options.jobs = jobs;
       util::Stopwatch timer;
@@ -106,14 +108,13 @@ int run(int argc, const char* const* argv) {
       if (jobs == 1) {
         certificate = std::move(cert);
         serial_dump = dump;
-        serial_certify_seconds = seconds;
         cells.push_back(util::cell_double(seconds, 2));
         cells.push_back(percent(detect_seconds, seconds));
       } else {
         cells.push_back(util::cell_double(seconds, 2));
         if (dump != serial_dump) {
           std::cerr << "FAIL: " << workload.name << " certificate at jobs="
-                    << jobs << " is not byte-identical to serial\n";
+                    << jobs << " is not byte-identical to jobs=1\n";
           all_ok = false;
         }
       }
@@ -145,12 +146,11 @@ int run(int argc, const char* const* argv) {
                 << (check.errors.empty() ? "?" : check.errors[0]) << "\n";
       all_ok = false;
     }
-    (void)serial_certify_seconds;
     table.add_row(cells);
   }
 
   table.print(std::cout);
-  std::cout << "\nDetect = plain serial audit (proof listener null). "
+  std::cout << "\nDetect = plain 1-job audit (proof listener null). "
                "Certify = same audit with binary-DRAT logging and witness "
                "capture; the Overhead column is the 1-job certify time "
                "against the detect baseline. Check = independent offline "

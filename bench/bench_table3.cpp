@@ -44,8 +44,7 @@ CheckResult pseudo_check(const BenchConfig& config, EngineKind kind,
   core::TrojanDetector detector(design, options);
   return detector.check_pseudo_pair(
       info.critical_register,
-      designs::pseudo_register_name(info.critical_register),
-      properties::PseudoPolarity::kIdentity, /*candidate_leads=*/false);
+      designs::pseudo_register_name(info.critical_register));
 }
 
 CheckResult bypass_check(const BenchConfig& config, EngineKind kind,
@@ -72,8 +71,7 @@ CheckResult pseudo_depth_check(const BenchConfig& config, EngineKind kind,
   core::TrojanDetector detector(design, options);
   return detector.check_pseudo_pair(
       info.critical_register,
-      designs::pseudo_register_name(info.critical_register),
-      properties::PseudoPolarity::kIdentity, /*candidate_leads=*/false);
+      designs::pseudo_register_name(info.critical_register));
 }
 
 CheckResult bypass_depth_check(const BenchConfig& config, EngineKind kind,

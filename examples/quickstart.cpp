@@ -3,13 +3,14 @@
 //  1. Describe a third-party IP as a netlist (here: a tiny bus-bridge with a
 //     configuration register — and a hidden Trojan a rogue vendor added).
 //  2. Write down the register's *valid ways* (the datasheet contract).
-//  3. Hand both to the TrojanDetector and let bounded model checking search
-//     for an input sequence that corrupts the register outside the contract.
+//  3. Hand both to the detector (Algorithm 1) and let bounded model checking
+//     search for an input sequence that corrupts the register outside the
+//     contract.
 //
 // Build & run:  ./quickstart
 #include <iostream>
 
-#include "core/detector.hpp"
+#include "core/parallel_detector.hpp"
 #include "netlist/wordops.hpp"
 #include "sim/simulator.hpp"
 
@@ -55,12 +56,13 @@ int main() {
   ip.critical_registers = {"config"};
 
   // --- 3. Detect. ----------------------------------------------------------
-  core::DetectorOptions options;
-  options.engine.kind = core::EngineKind::kBmc;
-  options.engine.max_frames = 32;
-  options.scan_pseudo_critical = false;  // single-register IP
-  options.check_bypass = false;          // no obligations declared
-  core::TrojanDetector detector(ip, options);
+  core::ParallelDetectorOptions options;
+  options.detector.engine.kind = core::EngineKind::kBmc;
+  options.detector.engine.max_frames = 32;
+  options.detector.scan_pseudo_critical = false;  // single-register IP
+  options.detector.check_bypass = false;          // no obligations declared
+  options.jobs = 1;
+  core::ParallelDetector detector(ip, options);
   const core::DetectionReport report = detector.run();
 
   std::cout << report.summary() << "\n\n";

@@ -120,66 +120,4 @@ BmcResult check_bad_signal(const netlist::Netlist& nl,
   return result;
 }
 
-
-InductionResult prove_by_induction(const netlist::Netlist& nl,
-                                   netlist::SignalId bad_signal,
-                                   const InductionOptions& options) {
-  util::Stopwatch timer;
-  InductionResult result;
-
-  // Base-case machinery: ordinary initialized unrolling, extended lazily.
-  sat::Solver base_solver(options.solver);
-  cnf::Unroller base(nl, base_solver, {bad_signal});
-
-  for (std::size_t k = 1; k <= options.max_k; ++k) {
-    const double remaining =
-        options.time_limit_seconds - timer.elapsed_seconds();
-    if (remaining <= 0) break;
-
-    // Base: bad unreachable in frames [0, k).
-    while (base.frame_count() < k) {
-      const std::size_t t = base.add_frame();
-      sat::Budget budget;
-      budget.time_limit_seconds =
-          options.time_limit_seconds - timer.elapsed_seconds();
-      const auto r = base_solver.solve({base.lit_of(bad_signal, t)}, budget);
-      if (r == sat::SolveResult::kSat) {
-        result.status = InductionStatus::kBaseViolated;
-        result.witness = base.extract_witness(t);
-        result.seconds = timer.elapsed_seconds();
-        return result;
-      }
-      if (r == sat::SolveResult::kUnknown) {
-        result.seconds = timer.elapsed_seconds();
-        return result;
-      }
-      base_solver.add_clause(~base.lit_of(bad_signal, t));
-    }
-
-    // Step: from any state, k clean steps imply a clean (k+1)-th.
-    sat::Solver step_solver(options.solver);
-    cnf::Unroller step(nl, step_solver, {bad_signal},
-                       /*free_initial_state=*/true);
-    for (std::size_t t = 0; t <= k; ++t) step.add_frame();
-    for (std::size_t t = 0; t < k; ++t) {
-      step_solver.add_clause(~step.lit_of(bad_signal, t));
-    }
-    sat::Budget budget;
-    budget.time_limit_seconds =
-        options.time_limit_seconds - timer.elapsed_seconds();
-    const auto r = step_solver.solve({step.lit_of(bad_signal, k)}, budget);
-    if (r == sat::SolveResult::kUnsat) {
-      result.status = InductionStatus::kProven;
-      result.k_used = k;
-      result.seconds = timer.elapsed_seconds();
-      return result;
-    }
-    if (r == sat::SolveResult::kUnknown) break;
-    // SAT: not k-inductive; try a larger k.
-    TS_LOG_DEBUG("induction: step case open at k=%zu", k);
-  }
-  result.seconds = timer.elapsed_seconds();
-  return result;
-}
-
 }  // namespace trojanscout::bmc

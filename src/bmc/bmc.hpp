@@ -83,37 +83,4 @@ BmcResult check_bad_signal(const netlist::Netlist& nl,
                            netlist::SignalId bad_signal,
                            const BmcOptions& options);
 
-// ---- unbounded proofs via k-induction ------------------------------------
-//
-// BMC alone certifies "trustworthy for T clock cycles" and the paper's
-// protocol resets the design past that bound (Section 3.2). When the
-// no-corruption property is *inductive*, the reset is unnecessary: if no
-// state (reachable or not) can violate the property after k clean steps,
-// the property holds forever. Plain k-induction (no uniqueness
-// constraints); fails safe to kUnknown on non-inductive properties.
-
-enum class InductionStatus {
-  kProven,        // property holds for all time
-  kBaseViolated,  // ordinary counterexample found (witness available)
-  kUnknown,       // not k-inductive within max_k / budget
-};
-
-struct InductionResult {
-  InductionStatus status = InductionStatus::kUnknown;
-  /// The k at which the step case closed (kProven only).
-  std::size_t k_used = 0;
-  std::optional<sim::Witness> witness;  // kBaseViolated only
-  double seconds = 0.0;
-};
-
-struct InductionOptions {
-  std::size_t max_k = 8;
-  double time_limit_seconds = 60.0;
-  sat::SolverOptions solver;
-};
-
-InductionResult prove_by_induction(const netlist::Netlist& nl,
-                                   netlist::SignalId bad_signal,
-                                   const InductionOptions& options = {});
-
 }  // namespace trojanscout::bmc

@@ -25,7 +25,8 @@ class Unroller {
   /// these signals is encoded (standard model-checking reduction); signals
   /// outside the cone have no literals.
   /// `free_initial_state`: frame 0 registers become fresh variables instead
-  /// of their reset constants — the encoding k-induction's step case needs.
+  /// of their reset constants — the encoding PDR's relative-induction
+  /// queries need (a frame-k state is any state, not the reset state).
   Unroller(const netlist::Netlist& nl, sat::Solver& solver,
            const std::vector<netlist::SignalId>& coi_roots = {},
            bool free_initial_state = false);

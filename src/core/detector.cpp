@@ -1,12 +1,10 @@
 #include "core/detector.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <sstream>
 
 #include "properties/miter.hpp"
 #include "sim/simulator.hpp"
-#include "telemetry/progress.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/span.hpp"
 #include "util/bitvec.hpp"
@@ -95,36 +93,17 @@ TrojanDetector::TrojanDetector(const Design& design, DetectorOptions options)
     : design_(design), options_(std::move(options)) {}
 
 CheckResult TrojanDetector::check_corruption(const std::string& reg) const {
-  Design scratch = design_;  // monitors are appended to a throwaway copy
-  const auto* spec = scratch.spec.find(reg);
-  if (spec == nullptr) {
-    throw std::invalid_argument("check_corruption: no valid-ways spec for " +
-                                reg);
-  }
-  const SignalId bad = properties::build_corruption_monitor(
-      scratch.nl, *spec, options_.monitor_kind);
-  return run_engine(scratch.nl, bad, options_.engine);
+  return run_obligation({Obligation::Kind::kCorruption, reg, {}});
 }
 
 CheckResult TrojanDetector::check_pseudo_pair(
-    const std::string& critical_reg, const std::string& candidate_reg,
-    properties::PseudoPolarity polarity, bool candidate_leads) const {
-  Design scratch = design_;
-  const SignalId bad = properties::build_pseudo_critical_monitor(
-      scratch.nl, critical_reg, candidate_reg, polarity, candidate_leads);
-  return run_engine(scratch.nl, bad, options_.engine);
+    const std::string& critical_reg, const std::string& candidate_reg) const {
+  return run_obligation(
+      {Obligation::Kind::kPseudo, critical_reg, candidate_reg});
 }
 
 CheckResult TrojanDetector::check_bypass(const std::string& reg) const {
-  const auto* spec = design_.spec.find(reg);
-  if (spec == nullptr || spec->obligations.empty()) {
-    throw std::invalid_argument(
-        "check_bypass: register " + reg +
-        " has no observability obligations in the spec");
-  }
-  properties::BypassMiter miter =
-      properties::build_bypass_miter(design_.nl, *spec);
-  return run_engine(miter.nl, miter.bad, options_.engine);
+  return run_obligation({Obligation::Kind::kBypass, reg, {}});
 }
 
 std::vector<std::string> TrojanDetector::pseudo_candidates(
@@ -313,28 +292,13 @@ void TrojanDetector::merge_obligation(DetectionReport& report,
   report.trojan_found = true;
 }
 
-DetectionReport TrojanDetector::run() {
-  telemetry::Span audit_span("audit");
+DetectionReport TrojanDetector::merge_obligations(
+    const std::vector<Obligation>& obligations,
+    const std::vector<CheckResult>& results) const {
   DetectionReport report;
   report.trust_bound_frames = options_.engine.max_frames;
-  telemetry::ProgressReporter* reporter = telemetry::ProgressReporter::global();
-  const std::vector<Obligation> obligations = enumerate_obligations();
-  if (reporter != nullptr) reporter->add_planned(obligations.size());
-  for (const Obligation& obligation : obligations) {
-    CheckResult check;
-    {
-      telemetry::Span span("obligation:" + obligation.property_name());
-      TS_COUNTER_ADD("detector.obligations", 1);
-      std::shared_ptr<telemetry::ProgressReporter::Task> task;
-      EngineOptions engine = options_.engine;
-      if (reporter != nullptr) {
-        task = reporter->begin(obligation.property_name());
-        engine.progress = &task->cells;
-      }
-      check = run_obligation(obligation, engine);
-      if (task != nullptr) task->finish();
-    }
-    merge_obligation(report, obligation, check);
+  for (std::size_t i = 0; i < obligations.size(); ++i) {
+    merge_obligation(report, obligations[i], results[i]);
   }
   return report;
 }

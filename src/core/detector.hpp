@@ -1,4 +1,6 @@
-// TrojanDetector: the paper's Algorithm 1.
+// TrojanDetector: the paper's Algorithm 1, as obligations. The detector
+// enumerates them, instruments and runs each one, and merges the results;
+// core::ParallelDetector is the loop that schedules them.
 //
 // Given a design, its valid-ways spec, and the list of critical registers,
 // the detector:
@@ -109,11 +111,7 @@ class TrojanDetector {
  public:
   TrojanDetector(const designs::Design& design, DetectorOptions options);
 
-  /// Runs Algorithm 1 end to end (serially; see core::ParallelDetector for
-  /// the multi-threaded scheduler producing the identical report).
-  DetectionReport run();
-
-  // -- obligation API (the parallel scheduler is built on these) -----------
+  // -- obligation API (core::ParallelDetector runs Algorithm 1 on these) ---
 
   /// All property obligations Algorithm 1 would check, in the canonical
   /// order: Eq. 3 pseudo-critical pairs per critical register, then Eq. 2
@@ -149,17 +147,24 @@ class TrojanDetector {
   void merge_obligation(DetectionReport& report, const Obligation& obligation,
                         const CheckResult& check) const;
 
+  /// Algorithm 1's fold: a report whose trust bound starts at the engine's
+  /// max_frames, with results[i] merged for obligations[i] in order. Every
+  /// audit that holds all its results at once (the scheduler, certify, the
+  /// certificate checker) builds its report here. Not thread-safe.
+  [[nodiscard]] DetectionReport merge_obligations(
+      const std::vector<Obligation>& obligations,
+      const std::vector<CheckResult>& results) const;
+
   /// Whether a completed obligation constitutes a Trojan finding (for
   /// kPseudo this applies the faithful-mirror classification). Thread-safe.
   [[nodiscard]] bool is_finding(const Obligation& obligation,
                                 const CheckResult& check) const;
 
-  // Individual steps, usable à la carte (the bench harnesses call these).
+  // Individual obligations by name, usable à la carte (the bench harnesses
+  // call these); each is run_obligation on the matching Obligation.
   CheckResult check_corruption(const std::string& reg) const;
   CheckResult check_pseudo_pair(const std::string& critical_reg,
-                                const std::string& candidate_reg,
-                                properties::PseudoPolarity polarity,
-                                bool candidate_leads) const;
+                                const std::string& candidate_reg) const;
   CheckResult check_bypass(const std::string& reg) const;
 
   /// Candidate registers worth scanning for a pseudo-critical relation to

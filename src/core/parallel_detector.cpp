@@ -90,12 +90,7 @@ DetectionReport ParallelDetector::run() {
     pool.wait_idle();
   }
 
-  DetectionReport report;
-  report.trust_bound_frames = options_.detector.engine.max_frames;
-  for (std::size_t i = 0; i < obligations.size(); ++i) {
-    merger.merge_obligation(report, obligations[i], results[i]);
-  }
-  return report;
+  return merger.merge_obligations(obligations, results);
 }
 
 }  // namespace trojanscout::core

@@ -1,4 +1,4 @@
-// Parallel property scheduler for Algorithm 1.
+// The obligation scheduler: the one loop that runs Algorithm 1.
 //
 // Algorithm 1's obligations — one Eq. 3 pseudo-critical check per candidate
 // pair, one Eq. 2 corruption check per critical register, one Eq. 4 bypass
@@ -7,7 +7,9 @@
 // The scheduler enumerates every obligation up front, executes them on a
 // work-stealing thread pool, and merges the results in enumeration order,
 // so the DetectionReport is byte-identical (see DetectionReport::signature)
-// to TrojanDetector::run() regardless of the jobs count or completion order.
+// to folding TrojanDetector::run_obligation over enumerate_obligations()
+// one by one, regardless of the jobs count or completion order. jobs = 1 is
+// the serial audit.
 //
 // fail_fast mode trades that determinism for latency: the first obligation
 // classified as a Trojan finding cancels all outstanding engine runs

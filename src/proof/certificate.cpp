@@ -96,6 +96,28 @@ bool monitor_kind_from_name(const std::string& name,
   return true;
 }
 
+/// Algorithm 1's fold over certificate records: each record's verdict is
+/// merged in enumeration order, exactly as the scheduler merges engine
+/// results, so the signature is the one a plain audit reports.
+core::DetectionReport merge_records(
+    const TrojanDetector& detector, const std::vector<Obligation>& obligations,
+    const std::vector<ObligationRecord>& records) {
+  std::vector<CheckResult> checks(records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const ObligationRecord& record = records[i];
+    CheckResult& check = checks[i];
+    check.engine_used = record.engine_used;
+    check.violated = record.violated;
+    check.bound_reached = record.bound_reached;
+    check.proven_unbounded = record.proven_unbounded;
+    check.cancelled = record.cancelled;
+    check.frames_completed = record.frames_completed;
+    check.status = record.status;
+    check.witness = record.witness;
+  }
+  return detector.merge_obligations(obligations, checks);
+}
+
 }  // namespace
 
 std::uint64_t design_hash(const netlist::Netlist& nl) {
@@ -237,9 +259,7 @@ Certificate certify(const designs::Design& design,
     }
   };
 
-  if (options.jobs <= 1) {
-    for (std::size_t i = 0; i < obligations.size(); ++i) run_one(i);
-  } else {
+  {
     util::ThreadPool pool(options.jobs);
     std::vector<std::exception_ptr> errors(obligations.size());
     for (std::size_t i = 0; i < obligations.size(); ++i) {
@@ -257,22 +277,10 @@ Certificate certify(const designs::Design& design,
     }
   }
 
-  // Merge in enumeration order — the same fold the serial detector and the
-  // parallel scheduler perform, so the signature matches both.
-  core::DetectionReport report;
-  report.trust_bound_frames = options.detector.engine.max_frames;
-  for (std::size_t i = 0; i < obligations.size(); ++i) {
-    CheckResult check;
-    check.engine_used = records[i].engine_used;
-    check.violated = records[i].violated;
-    check.bound_reached = records[i].bound_reached;
-    check.proven_unbounded = records[i].proven_unbounded;
-    check.cancelled = records[i].cancelled;
-    check.frames_completed = records[i].frames_completed;
-    check.status = records[i].status;
-    check.witness = records[i].witness;
-    detector.merge_obligation(report, obligations[i], check);
-  }
+  // Merge in enumeration order — the same fold the parallel scheduler
+  // performs, so the signature matches a plain audit.
+  const core::DetectionReport report =
+      merge_records(detector, obligations, records);
 
   Certificate cert;
   cert.design_name = design.name;
@@ -493,21 +501,8 @@ CertificateCheckResult check_certificate(const Certificate& cert,
 
   // 4. The claim: re-merge the records into a report; its signature must be
   // exactly the certified one.
-  core::DetectionReport report;
-  report.trust_bound_frames = cert.max_frames;
-  for (std::size_t i = 0; i < cert.records.size(); ++i) {
-    const ObligationRecord& record = cert.records[i];
-    CheckResult check;
-    check.engine_used = record.engine_used;
-    check.violated = record.violated;
-    check.bound_reached = record.bound_reached;
-    check.proven_unbounded = record.proven_unbounded;
-    check.cancelled = record.cancelled;
-    check.frames_completed = record.frames_completed;
-    check.status = record.status;
-    check.witness = record.witness;
-    detector.merge_obligation(report, obligations[i], check);
-  }
+  const core::DetectionReport report =
+      merge_records(detector, obligations, cert.records);
   if (report.signature() != cert.report_signature) {
     fail("report signature mismatch: the records do not merge into the "
          "certified report");

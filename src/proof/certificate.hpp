@@ -1,8 +1,8 @@
 // Self-contained, independently checkable audit certificates.
 //
 // `certify` runs Algorithm 1 exactly like the detector does (same
-// obligations, same merge, same report signature — serial or across a
-// thread pool) while capturing *evidence* for every per-obligation answer:
+// obligations, same merge, same report signature, at any jobs count)
+// while capturing *evidence* for every per-obligation answer:
 //
 //   * SAT answers (property violated): the witness input sequence. Checked
 //     by replaying it on the cycle-accurate simulator against an
@@ -124,7 +124,7 @@ struct Certificate {
   std::vector<ObligationRecord> records;
 
   // The claim: the DetectionReport signature obtained by merging the
-  // records in enumeration order (identical to a plain detector run).
+  // records in enumeration order (identical to a plain audit's).
   bool trojan_found = false;
   std::size_t trust_bound_frames = 0;
   std::string report_signature;
@@ -132,8 +132,8 @@ struct Certificate {
 
 struct CertifyOptions {
   core::DetectorOptions detector;
-  /// Worker threads for the obligation fan-out; 1 = serial. The emitted
-  /// certificate is byte-identical at every jobs count.
+  /// Worker threads for the obligation fan-out; 0 = one per hardware
+  /// thread. The emitted certificate is byte-identical at every jobs count.
   std::size_t jobs = 1;
   /// Optional verdict store fed write-through as obligations complete.
   /// Certify never *reads* from it — a cached verdict carries no DRAT

@@ -50,10 +50,29 @@ grep -q 'conf/s' "$WORK/progress.log" || { echo "heartbeat lacks solver rates"; 
 grep -q '"schema":"trojanscout-profile-v1"' "$WORK/profile.json" || { echo "bad profile schema"; exit 1; }
 grep -q '"name":"sat:solve"' "$WORK/profile.json" || { echo "profile missing sat:solve phase"; exit 1; }
 
+# prove (check with the PDR engine) must refute the Trojaned core with a
+# witness: exit 2.
+set +e
+"$CLI" prove --design="$WORK/ip.v" --spec="$SPEC_DIR/mc8051_sp.spec" \
+  --register=sp >"$WORK/prove.out"
+CODE=$?
+set -e
+[ "$CODE" -eq 2 ] || { echo "expected prove Trojan verdict (2), got $CODE"; exit 1; }
+grep -q TROJAN "$WORK/prove.out" || { echo "prove printed no witness"; exit 1; }
+
 # Clean design must pass and be provable forever.
 "$CLI" gen --family=mc8051 --out="$WORK/clean.v"
 "$CLI" check --design="$WORK/clean.v" --spec="$SPEC_DIR/mc8051_sp.spec" \
   --register=sp --frames=12
 "$CLI" prove --design="$WORK/clean.v" --spec="$SPEC_DIR/mc8051_sp.spec" \
   --register=sp | grep -q PROVEN
+# A prove that neither proves nor refutes (here: no time budget) is not a
+# pass: UNKNOWN, exit 1.
+set +e
+"$CLI" prove --design="$WORK/clean.v" --spec="$SPEC_DIR/mc8051_sp.spec" \
+  --register=sp --budget=0 >"$WORK/unknown.out"
+CODE=$?
+set -e
+[ "$CODE" -eq 1 ] || { echo "expected prove UNKNOWN (1) without a budget, got $CODE"; exit 1; }
+grep -q UNKNOWN "$WORK/unknown.out" || { echo "prove without a proof did not say UNKNOWN"; exit 1; }
 echo "cli demo OK"

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/detector.hpp"
+#include "core/parallel_detector.hpp"
 #include "designs/attacks.hpp"
 #include "designs/catalog.hpp"
 #include "designs/mc8051.hpp"
@@ -59,9 +60,8 @@ TEST(PseudoCriticalAttack, EvadesTheCorruptionCheckOnTheCriticalRegister) {
 TEST(PseudoCriticalAttack, Eq3MonitorExposesTheCorruptedShadow) {
   const Design design = pseudo_attacked_mc8051();
   TrojanDetector detector(design, bmc_budget(10));
-  const CheckResult result = detector.check_pseudo_pair(
-      "sp", designs::pseudo_register_name("sp"),
-      properties::PseudoPolarity::kIdentity, /*candidate_leads=*/false);
+  const CheckResult result =
+      detector.check_pseudo_pair("sp", designs::pseudo_register_name("sp"));
   ASSERT_TRUE(result.violated);
   // Replay: the shadow mirrors SP up to the violation, then deviates.
   const auto& witness = *result.witness;
@@ -86,10 +86,11 @@ TEST(PseudoCriticalAttack, FullDetectorScanFindsIt) {
   mc_options.payload_enabled = false;
   Design design = designs::build_mc8051(mc_options);
   designs::plant_pseudo_critical(design, "sp");
-  DetectorOptions options = bmc_budget(14);
-  options.scan_pseudo_critical = true;
-  TrojanDetector detector(design, options);
-  const DetectionReport report = detector.run();
+  ParallelDetectorOptions options;
+  options.detector = bmc_budget(14);
+  options.detector.scan_pseudo_critical = true;
+  options.jobs = 1;
+  const DetectionReport report = ParallelDetector(design, options).run();
   ASSERT_TRUE(report.trojan_found) << report.summary();
   bool pseudo_finding = false;
   for (const auto& finding : report.findings) {

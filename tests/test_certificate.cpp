@@ -8,7 +8,7 @@
 #include <string>
 #include <vector>
 
-#include "core/detector.hpp"
+#include "core/parallel_detector.hpp"
 #include "designs/catalog.hpp"
 #include "proof/certificate.hpp"
 #include "proof/json.hpp"
@@ -58,10 +58,13 @@ TEST(Certificate, RoundTripsOnEveryCatalogTrojan) {
     SCOPED_TRACE(info.name);
     const designs::Design design = info.build(/*payload_enabled=*/true);
     const CertifyOptions options = full_algorithm(frames_for(info.family));
-    // The certificate's claim must be exactly what a plain detector run
-    // reports — certify() is Algorithm 1 plus evidence, not a variant.
-    core::TrojanDetector detector(design, options.detector);
-    const core::DetectionReport report = detector.run();
+    // The certificate's claim must be exactly what a plain audit reports —
+    // certify() is Algorithm 1 plus evidence, not a variant.
+    core::ParallelDetectorOptions audit_options;
+    audit_options.detector = options.detector;
+    audit_options.jobs = 1;
+    const core::DetectionReport report =
+        core::ParallelDetector(design, audit_options).run();
     const Certificate cert = certify(design, options);
     EXPECT_EQ(cert.report_signature, report.signature()) << info.name;
     EXPECT_EQ(cert.trojan_found, report.trojan_found) << info.name;

@@ -5,6 +5,7 @@
 
 #include "baselines/workloads.hpp"
 #include "core/detector.hpp"
+#include "core/parallel_detector.hpp"
 #include "designs/catalog.hpp"
 #include "designs/mc8051.hpp"
 #include "designs/risc.hpp"
@@ -147,11 +148,13 @@ TEST(Detector, FullAlgorithmRunOnMc8051T800) {
   designs::Mc8051Options options;
   options.trojan = designs::Mc8051Trojan::kT800;
   const designs::Design design = designs::build_mc8051(options);
-  DetectorOptions detector_options = small_budget(EngineKind::kBmc, 8);
-  detector_options.scan_pseudo_critical = true;
-  detector_options.check_bypass = false;  // exercised in test_attacks
-  TrojanDetector detector(design, detector_options);
-  const DetectionReport report = detector.run();
+  ParallelDetectorOptions detector_options;
+  detector_options.detector = small_budget(EngineKind::kBmc, 8);
+  detector_options.detector.scan_pseudo_critical = true;
+  detector_options.detector.check_bypass = false;  // exercised in test_attacks
+  detector_options.jobs = 1;
+  const DetectionReport report =
+      ParallelDetector(design, detector_options).run();
   EXPECT_TRUE(report.trojan_found);
   bool found_sp = false;
   for (const auto& f : report.findings) {

@@ -18,21 +18,23 @@
 #include <string>
 #include <vector>
 
-#include "core/detector.hpp"
+#include "core/parallel_detector.hpp"
 #include "designs/catalog.hpp"
 
 namespace trojanscout::core {
 namespace {
 
-DetectorOptions pinned_configuration(std::size_t frames,
-                                     EngineKind kind = EngineKind::kBmc) {
-  DetectorOptions options;
-  options.engine.kind = kind;
-  options.engine.max_frames = frames;
-  options.engine.time_limit_seconds = 120.0;
-  options.scan_pseudo_critical = true;
-  options.check_bypass = true;
-  return options;
+/// The pinned audit: Algorithm 1 on one scheduler thread.
+DetectionReport pinned_audit(const designs::Design& design, std::size_t frames,
+                             EngineKind kind = EngineKind::kBmc) {
+  ParallelDetectorOptions options;
+  options.detector.engine.kind = kind;
+  options.detector.engine.max_frames = frames;
+  options.detector.engine.time_limit_seconds = 120.0;
+  options.detector.scan_pseudo_critical = true;
+  options.detector.check_bypass = true;
+  options.jobs = 1;
+  return ParallelDetector(design, options).run();
 }
 
 std::uint64_t fnv1a(const std::string& text) {
@@ -80,8 +82,7 @@ std::size_t frames_for(const std::string& family) {
 }
 
 std::string run_signature(const designs::Design& design, std::size_t frames) {
-  TrojanDetector detector(design, pinned_configuration(frames));
-  return detector.run().signature();
+  return pinned_audit(design, frames).signature();
 }
 
 template <std::size_t N>
@@ -159,8 +160,7 @@ std::size_t atpg_frames_for(const std::string& family) {
 std::string run_atpg_transcript(const designs::Design& design,
                                 std::size_t frames) {
   const DetectionReport report =
-      TrojanDetector(design, pinned_configuration(frames, EngineKind::kAtpg))
-          .run();
+      pinned_audit(design, frames, EngineKind::kAtpg);
   std::string text = report.signature();
   for (const auto& run : report.runs) {
     const EngineCounters& c = run.check.counters;

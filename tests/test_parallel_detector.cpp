@@ -1,8 +1,9 @@
-// Parallel property scheduler tests: the ParallelDetector must produce a
-// DetectionReport byte-identical (via DetectionReport::signature()) to the
-// serial TrojanDetector on every catalog design for any jobs count, the
-// cooperative cancellation flag must end engine runs promptly, and
-// fail-fast mode must keep the triggering finding while marking the
+// Obligation scheduler tests: the ParallelDetector must produce a
+// DetectionReport byte-identical (via DetectionReport::signature()) to a
+// plain serial fold of the obligation API (enumerate_obligations ->
+// run_obligation -> merge_obligations) on every catalog design for any jobs
+// count, the cooperative cancellation flag must end engine runs promptly,
+// and fail-fast mode must keep the triggering finding while marking the
 // obligations it preempted as cancelled.
 #include <gtest/gtest.h>
 
@@ -30,10 +31,22 @@ DetectorOptions full_algorithm(std::size_t frames) {
   return options;
 }
 
+/// Algorithm 1 as the obligation API defines it, one obligation at a time on
+/// the calling thread: the reference the scheduler must reproduce.
+DetectionReport serial_fold(const designs::Design& design,
+                            const DetectorOptions& options) {
+  const TrojanDetector detector(design, options);
+  const std::vector<Obligation> obligations = detector.enumerate_obligations();
+  std::vector<CheckResult> results;
+  for (const Obligation& obligation : obligations) {
+    results.push_back(detector.run_obligation(obligation));
+  }
+  return detector.merge_obligations(obligations, results);
+}
+
 void expect_parallel_matches_serial(const designs::Design& design,
                                     const DetectorOptions& options) {
-  TrojanDetector serial(design, options);
-  const std::string expected = serial.run().signature();
+  const std::string expected = serial_fold(design, options).signature();
   for (const std::size_t jobs : {1u, 2u, 8u}) {
     ParallelDetectorOptions parallel_options;
     parallel_options.detector = options;

@@ -3,7 +3,7 @@
 // form, and the log2-µs histogram quantile estimator's edge cases.
 #include <gtest/gtest.h>
 
-#include "core/detector.hpp"
+#include "core/parallel_detector.hpp"
 #include "designs/catalog.hpp"
 #include "telemetry/profile.hpp"
 #include "telemetry/registry.hpp"
@@ -215,13 +215,13 @@ TEST(ProfileTest, EndToEndDetectorProfileHasEnginePhases) {
   Registry::global().set_enabled(true);
 
   const designs::Design design = designs::build_clean("mc8051");
-  core::DetectorOptions options;
-  options.engine.kind = core::EngineKind::kBmc;
-  options.engine.max_frames = 4;
-  options.scan_pseudo_critical = false;
-  options.check_bypass = false;
-  core::TrojanDetector detector(design, options);
-  (void)detector.run();
+  core::ParallelDetectorOptions options;
+  options.detector.engine.kind = core::EngineKind::kBmc;
+  options.detector.engine.max_frames = 4;
+  options.detector.scan_pseudo_critical = false;
+  options.detector.check_bypass = false;
+  options.jobs = 1;
+  (void)core::ParallelDetector(design, options).run();
 
   TraceRecorder::set_global(nullptr);
   Registry::global().set_enabled(false);

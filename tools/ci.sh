@@ -68,6 +68,10 @@ if command -v python3 >/dev/null 2>&1; then
   (cd "$src" && "$rel/bench/bench_service_throughput" --repeats=3 \
       --clients=4 --per-client=4 --frames=6 \
       --bench-out="$art/BENCH_service_throughput.json")
+  # Certificate gate (exit 1 on failure): every certificate passes
+  # check_certificate, jobs-1 and jobs-8 certificates are byte-identical,
+  # and each certificate's signature equals the plain audit's.
+  "$rel/bench/bench_proof_overhead" --frames=4 >"$art/proof_overhead.log"
 
   echo "=== [release] fuzz smoke: mutation corpus differential harness ==="
   # The seeded sweep re-asserts the harness's three oracles (no clean-design

@@ -12,7 +12,8 @@
 //                         [--profile-out profile.json] [--progress[=SECS]]
 //                         [--stall-window SECS] [--flight-out flight.json]
 //   trojanscout_cli prove --design ip.v --spec ip.spec --register cfg
-//                         [--max-k K]
+//                         [--frames N] [--budget S]   (check --engine=pdr;
+//                         exit 0 proven, 2 witness, 1 neither)
 //   trojanscout_cli gen   --family mc8051|risc|aes [--trojan NAME]
 //                         [--out design.v]
 //   trojanscout_cli certify    --design ip.v --spec ip.spec --out cert.json
@@ -137,7 +138,6 @@
 #include <thread>
 #include <vector>
 
-#include "bmc/bmc.hpp"
 #include "cache/verdict_cache.hpp"
 #include "cache/verdict_codec.hpp"
 #include "core/detector.hpp"
@@ -148,7 +148,6 @@
 #include "fuzz/harness.hpp"
 #include "fuzz/mutation.hpp"
 #include "proof/certificate.hpp"
-#include "properties/monitors.hpp"
 #include "fleet/coordinator.hpp"
 #include "service/client.hpp"
 #include "service/daemon.hpp"
@@ -197,8 +196,10 @@ int usage() {
          "               [--stall-window SECS] [--flight-out f.json]\n"
          "               run Algorithm 1 over every spec'd register\n"
          "  prove      --design ip.v --spec ip.spec --register REG\n"
-         "               [--max-k K] [--budget S]\n"
-         "               unbounded proof by k-induction\n"
+         "               [--frames N] [--budget S] [--minimize]\n"
+         "               [--vcd out.vcd]\n"
+         "               check --engine=pdr: unbounded proof (exit 0),\n"
+         "               witness (exit 2), or UNKNOWN (exit 1)\n"
          "  gen        --family mc8051|risc|aes [--trojan NAME]\n"
          "               [--out design.v]\n"
          "               emit a benchmark design as structural Verilog\n"
@@ -403,7 +404,9 @@ int cmd_info(const util::CliParser& cli) {
   return 0;
 }
 
-int cmd_check(const util::CliParser& cli) {
+/// `check`, and `prove`: `check` with the engine fixed to PDR that exits 1
+/// unless the property is proven for all time or refuted.
+int cmd_check(const util::CliParser& cli, bool prove) {
   designs::Design design;
   design.name = cli.get_string("design", "design");
   design.nl = load_design(cli);
@@ -419,7 +422,8 @@ int cmd_check(const util::CliParser& cli) {
   design.critical_registers = {reg};
 
   core::DetectorOptions options;
-  options.engine.kind = parse_engine_flag(cli);
+  options.engine.kind =
+      prove ? core::EngineKind::kPdr : parse_engine_flag(cli);
   options.engine.max_frames =
       static_cast<std::size_t>(cli.get_int("frames", 128));
   options.engine.time_limit_seconds = cli.get_double("budget", 60.0);
@@ -427,7 +431,21 @@ int cmd_check(const util::CliParser& cli) {
   options.check_bypass = false;
 
   core::TrojanDetector detector(design, options);
-  const core::CheckResult result = detector.check_corruption(reg);
+  const core::Obligation obligation{core::Obligation::Kind::kCorruption, reg,
+                                    {}};
+  const core::CheckResult result = detector.run_obligation(obligation);
+  if (result.proven_unbounded) {
+    std::cout << "PROVEN for all time ("
+              << core::engine_name(result.engine_used) << ", "
+              << result.seconds << " s)\n";
+    return 0;
+  }
+  if (!result.violated && prove) {
+    std::cout << "UNKNOWN: '" << reg << "' not proven for all time ("
+              << result.status << " after " << result.frames_completed
+              << " frames; use 'check' for a bounded certificate)\n";
+    return 1;
+  }
   if (!result.violated) {
     std::cout << "clean: no out-of-spec update of '" << reg << "' within "
               << result.frames_completed << " cycles ("
@@ -440,13 +458,11 @@ int cmd_check(const util::CliParser& cli) {
             << witness.violation_frame << " (found in " << result.seconds
             << " s)\n";
   if (cli.get_bool("minimize", false)) {
-    // Rebuild the monitor on a fresh copy to minimize against.
-    designs::Design scratch = design;
-    const auto bad = properties::build_corruption_monitor(
-        scratch.nl, *scratch.spec.find(reg),
-        properties::CorruptionMonitorKind::kExact);
+    // Minimize against the same monitored netlist the engine ran on.
+    const auto property = detector.instrument_obligation(obligation);
     core::MinimizeStats stats;
-    witness = core::minimize_witness(scratch.nl, bad, witness, &stats);
+    witness = core::minimize_witness(property.nl, property.bad, witness,
+                                     &stats);
     std::cout << "minimized witness: " << stats.bits_before << " -> "
               << stats.bits_after << " set input bits\n";
   }
@@ -614,41 +630,6 @@ int cmd_audit(const util::CliParser& cli) {
     }
   }
   return 2;
-}
-
-int cmd_prove(const util::CliParser& cli) {
-  designs::Design design;
-  design.nl = load_design(cli);
-  design.spec =
-      specdsl::load_spec_file(design.nl, cli.get_string("spec", ""));
-  const std::string reg = cli.get_string("register", "");
-  const auto* reg_spec = design.spec.find(reg);
-  if (reg_spec == nullptr) {
-    std::cerr << "register '" << reg << "' has no spec block\n";
-    return 1;
-  }
-  const auto bad = properties::build_corruption_monitor(
-      design.nl, *reg_spec, properties::CorruptionMonitorKind::kExact);
-  bmc::InductionOptions options;
-  options.max_k = static_cast<std::size_t>(cli.get_int("max-k", 8));
-  options.time_limit_seconds = cli.get_double("budget", 60.0);
-  const auto result = bmc::prove_by_induction(design.nl, bad, options);
-  switch (result.status) {
-    case bmc::InductionStatus::kProven:
-      std::cout << "PROVEN for all time (k=" << result.k_used << ", "
-                << result.seconds << " s)\n";
-      return 0;
-    case bmc::InductionStatus::kBaseViolated:
-      std::cout << "TROJAN: counterexample at cycle "
-                << result.witness->violation_frame << "\n"
-                << result.witness->to_string(design.nl);
-      return 2;
-    case bmc::InductionStatus::kUnknown:
-      std::cout << "UNKNOWN: not k-inductive within the budget (use 'check' "
-                   "for a bounded certificate)\n";
-      return 1;
-  }
-  return 1;
 }
 
 designs::Design load_design_with_spec(const util::CliParser& cli) {
@@ -1659,9 +1640,9 @@ int main(int argc, char** argv) {
   const util::CliParser cli(argc - 1, argv + 1);
   try {
     if (command == "info") return cmd_info(cli);
-    if (command == "check") return cmd_check(cli);
+    if (command == "check") return cmd_check(cli, /*prove=*/false);
     if (command == "audit") return cmd_audit(cli);
-    if (command == "prove") return cmd_prove(cli);
+    if (command == "prove") return cmd_check(cli, /*prove=*/true);
     if (command == "gen") return cmd_gen(cli);
     if (command == "fuzz") return cmd_fuzz(cli);
     if (command == "certify") return cmd_certify(cli);
