@@ -11,6 +11,8 @@
 #include <unistd.h>
 #endif
 
+#include "util/json_escape.hpp"
+
 #ifndef TROJANSCOUT_GIT_REV
 #define TROJANSCOUT_GIT_REV "unknown"
 #endif
@@ -19,25 +21,11 @@ namespace trojanscout::bench {
 
 namespace {
 
+/// String-returning form of util::append_json_escaped for the stream
+/// writer below.
 std::string json_escape(const std::string& text) {
   std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
+  util::append_json_escaped(out, text);
   return out;
 }
 

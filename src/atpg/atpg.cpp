@@ -103,22 +103,16 @@ class Engine {
         options_.progress->frames.store(target + 1,
                                         std::memory_order_relaxed);
       }
+      // The frame's search-counter deltas ride on its span as args.
       telemetry::Span frame_span("atpg:frame");
       const std::uint64_t decisions_before = decisions_;
       const std::uint64_t backtracks_before = backtracks_;
       const std::uint64_t implications_before = implications_;
-      const double frame_started = timer.elapsed_seconds();
       const FrameSearch outcome = search_frame(target, timer);
-      {
-        telemetry::FlightWindow w;
-        w.frame = target;
-        w.decisions = decisions_ - decisions_before;
-        w.backtracks = backtracks_ - backtracks_before;
-        w.implications = implications_ - implications_before;
-        w.wall_us = static_cast<std::uint64_t>(
-            (timer.elapsed_seconds() - frame_started) * 1e6);
-        result.flight.push_back(w);
-      }
+      frame_span.arg("frame", target);
+      frame_span.arg("decisions", decisions_ - decisions_before);
+      frame_span.arg("backtracks", backtracks_ - backtracks_before);
+      frame_span.arg("implications", implications_ - implications_before);
       TS_COUNTER_ADD("atpg.frames", 1);
       if (outcome == FrameSearch::kFound) {
         result.status = AtpgStatus::kViolated;

@@ -26,7 +26,6 @@
 
 #include "netlist/netlist.hpp"
 #include "sim/witness.hpp"
-#include "telemetry/flight.hpp"
 #include "util/bitvec.hpp"
 
 namespace trojanscout::telemetry {
@@ -92,9 +91,6 @@ struct AtpgResult {
   std::uint64_t decisions = 0;
   std::uint64_t backtracks = 0;
   std::uint64_t implications = 0;
-  /// Flight recorder: per-frame search-counter deltas + frame wall time
-  /// (observational; see telemetry/flight.hpp for the timing carve-out).
-  std::vector<telemetry::FlightWindow> flight;
   /// True when the run stopped because AtpgOptions::cancel was set.
   bool cancelled = false;
 

@@ -52,10 +52,10 @@ BmcResult check_bad_signal(const netlist::Netlist& nl,
       break;
     }
 
-    // One span per frame; the unroll and solve children nest inside it.
+    // One span per frame; the unroll and solve children nest inside it, and
+    // the frame's solver-stat deltas ride on it as args.
     telemetry::Span frame_span("bmc:frame");
     const sat::SolverStats stats_before = solver.stats();
-    const double frame_started = timer.elapsed_seconds();
     unroller.add_frame();
     const sat::Lit bad = unroller.lit_of(bad_signal, t);
     if (options.progress != nullptr) {
@@ -69,18 +69,7 @@ BmcResult check_bad_signal(const netlist::Netlist& nl,
     const sat::SolveResult sat_result = solver.solve({bad}, budget);
     result.frame_clauses.push_back(
         static_cast<std::uint32_t>(solver.num_clauses()));
-    {
-      const sat::SolverStats stats_after = solver.stats();
-      telemetry::FlightWindow w;
-      w.frame = t;
-      w.decisions = stats_after.decisions - stats_before.decisions;
-      w.propagations = stats_after.propagations - stats_before.propagations;
-      w.conflicts = stats_after.conflicts - stats_before.conflicts;
-      w.restarts = stats_after.restarts - stats_before.restarts;
-      w.wall_us = static_cast<std::uint64_t>(
-          (timer.elapsed_seconds() - frame_started) * 1e6);
-      result.flight.push_back(w);
-    }
+    sat::add_frame_args(frame_span, t, stats_before, solver.stats());
     TS_COUNTER_ADD("bmc.frames", 1);
 
     if (sat_result == sat::SolveResult::kSat) {

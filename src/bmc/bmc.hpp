@@ -17,7 +17,6 @@
 #include "netlist/netlist.hpp"
 #include "sat/solver.hpp"
 #include "sim/witness.hpp"
-#include "telemetry/flight.hpp"
 
 namespace trojanscout::bmc {
 
@@ -68,9 +67,6 @@ struct BmcResult {
   /// Clause-database size sampled after each frame's solve — the growth
   /// curve behind the paper's "BMC makes multiple copies of the design".
   std::vector<std::uint32_t> frame_clauses;
-  /// Flight recorder: per-frame solver-stat deltas + frame wall time
-  /// (observational; see telemetry/flight.hpp for the timing carve-out).
-  std::vector<telemetry::FlightWindow> flight;
   /// True when the run stopped because BmcOptions::cancel was set.
   bool cancelled = false;
 

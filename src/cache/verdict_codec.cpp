@@ -128,10 +128,9 @@ std::string verdict_to_json(const core::Obligation& obligation,
   } else {
     j.set("invariant", nullptr);
   }
-  // The per-leg portfolio vector is a timing carve-out (like flight
-  // recordings): wall-clock ordering decides which losers got cancelled, so
-  // it is deliberately not persisted — a warm hit reports only the winning
-  // verdict, which IS deterministic.
+  // The per-leg portfolio vector is a timing carve-out: wall-clock ordering
+  // decides which losers got cancelled, so it is deliberately not persisted
+  // — a warm hit reports only the winning verdict, which IS deterministic.
   if (result.witness.has_value()) {
     Json witness = Json::object();
     witness.set("violation_frame", result.witness->violation_frame);

@@ -16,7 +16,6 @@
 #include "netlist/netlist.hpp"
 #include "pdr/invariant.hpp"
 #include "sim/witness.hpp"
-#include "telemetry/flight.hpp"
 
 namespace trojanscout::core {
 
@@ -99,10 +98,9 @@ struct EngineOptions {
 /// Deterministic per-run work counters, copied off whichever back end ran.
 /// Everything here is a function of (netlist, property, options) only —
 /// never of wall-clock time or machine load — so the telemetry sink can
-/// assert byte-identical reports across --jobs settings. One carve-out:
-/// `flight` carries per-frame wall_us samples (timing), so it is excluded
-/// from both the cached-verdict codec and the run report — it exists for
-/// live inspection (`audit --flight-out`) only.
+/// assert byte-identical reports across --jobs settings. The per-frame
+/// breakdown of these counters is not kept here: each engine frame writes
+/// its deltas as args on its trace span (`audit --trace-out`).
 struct EngineCounters {
   // BMC back end (zero for ATPG runs); PDR also fills the SAT counters.
   sat::SolverStats sat;
@@ -119,17 +117,14 @@ struct EngineCounters {
   std::uint64_t pdr_pushed_clauses = 0;
   std::uint64_t pdr_ctis = 0;
   std::uint64_t pdr_obligations = 0;
-  /// Flight recorder: one window of counter deltas + frame wall time per
-  /// engine frame, in frame order (see telemetry/flight.hpp).
-  std::vector<telemetry::FlightWindow> flight;
 };
 
 /// Per-engine outcome of one portfolio race, in fixed priority order
-/// (BMC, ATPG, PDR). TIMING CARVE-OUT, like EngineCounters::flight: which
-/// losers got how far before observing the cancel flag depends on machine
-/// load, so this vector is excluded from the report signature and the
-/// cached-verdict codec — it feeds the {"type":"portfolio"} run-report
-/// record (timing-flagged fields) and the win/cancel tallies only.
+/// (BMC, ATPG, PDR). TIMING CARVE-OUT: which losers got how far before
+/// observing the cancel flag depends on machine load, so this vector is
+/// excluded from the report signature and the cached-verdict codec — it
+/// feeds the {"type":"portfolio"} run-report record (timing-flagged fields)
+/// and the win/cancel tallies only.
 struct PortfolioOutcome {
   EngineKind engine = EngineKind::kBmc;
   /// The engine's own status string ("violated", "cancelled", ...).
@@ -145,8 +140,12 @@ struct PortfolioOutcome {
 /// Engine-agnostic outcome of checking one bad signal.
 struct CheckResult {
   bool violated = false;
-  /// True when every frame up to max_frames was proven clean (BMC UNSAT per
-  /// frame / ATPG search exhausted per frame / PDR frontier or fixpoint).
+  /// True when the engine processed every frame up to max_frames without a
+  /// violation: BMC proved each frame UNSAT; PDR blocked each frontier or
+  /// reached a fixpoint; ATPG ended each frame's search without a
+  /// justification, counting frames that hit the backtrack abort limit
+  /// (`atpg_frames_aborted`) as well as exhausted ones. What each engine's
+  /// verdict proves is tabled in DESIGN §6.5.
   bool bound_reached = false;
   /// True when PDR converged to an inductive invariant: clean at *every*
   /// depth, not just up to the bound. Implies bound_reached; the status

@@ -847,7 +847,8 @@ void FleetCoordinator::stitch_worker_events(
     } else {
       const auto span_it = id_map.find(e.span_id);
       if (span_it == id_map.end()) continue;  // orphan end: begin not shipped
-      recorder_->end_event(e.name, span_it->second, tid_it->second, ts);
+      recorder_->end_event(e.name, span_it->second, tid_it->second, ts,
+                           e.args);
     }
   }
 }

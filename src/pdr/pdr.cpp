@@ -438,7 +438,6 @@ PdrResult Ic3::run() {
   for (std::size_t k = 1;; ++k) {
     telemetry::Span frontier_span("pdr:frontier");
     const sat::SolverStats stats_before = solver_.stats();
-    const double frontier_started = timer_.elapsed_seconds();
 
     const bool blocked = block_all_ctis(k, result);
     if (blocked) {
@@ -460,18 +459,7 @@ PdrResult Ic3::run() {
       done = !propagate(k, result, fixpoint_level);
     }
 
-    {
-      const sat::SolverStats stats_after = solver_.stats();
-      telemetry::FlightWindow w;
-      w.frame = k;
-      w.decisions = stats_after.decisions - stats_before.decisions;
-      w.propagations = stats_after.propagations - stats_before.propagations;
-      w.conflicts = stats_after.conflicts - stats_before.conflicts;
-      w.restarts = stats_after.restarts - stats_before.restarts;
-      w.wall_us = static_cast<std::uint64_t>(
-          (timer_.elapsed_seconds() - frontier_started) * 1e6);
-      result.flight.push_back(w);
-    }
+    sat::add_frame_args(frontier_span, k, stats_before, solver_.stats());
     if (done) break;
 
     if (fixpoint_level != 0) {

@@ -28,7 +28,6 @@
 #include "pdr/invariant.hpp"
 #include "sat/solver.hpp"
 #include "sim/witness.hpp"
-#include "telemetry/flight.hpp"
 
 namespace trojanscout::pdr {
 
@@ -88,9 +87,6 @@ struct PdrResult {
   sat::SolverStats sat_stats;
   std::size_t vars = 0;
   PdrCounters counters;
-  /// Flight recorder: one window per frontier level (timing carve-out —
-  /// see telemetry/flight.hpp).
-  std::vector<telemetry::FlightWindow> flight;
   bool cancelled = false;
 
   [[nodiscard]] bool violated() const { return status == PdrStatus::kViolated; }

@@ -46,7 +46,6 @@ CheckResult run_single(const netlist::Netlist& nl, netlist::SignalId bad,
       result.counters.sat = r.sat_stats;
       result.counters.cnf_vars = r.vars;
       result.counters.frame_clauses = std::move(r.frame_clauses);
-      result.counters.flight = std::move(r.flight);
       break;
     }
     case EngineKind::kAtpg: {
@@ -74,7 +73,6 @@ CheckResult run_single(const netlist::Netlist& nl, netlist::SignalId bad,
       result.counters.atpg_implications = r.implications;
       result.counters.atpg_frames_proven_clean = r.frames_proven_clean;
       result.counters.atpg_frames_aborted = r.frames_aborted;
-      result.counters.flight = std::move(r.flight);
       break;
     }
     case EngineKind::kPdr: {
@@ -104,7 +102,6 @@ CheckResult run_single(const netlist::Netlist& nl, netlist::SignalId bad,
       result.counters.pdr_pushed_clauses = r.counters.pushed_clauses;
       result.counters.pdr_ctis = r.counters.ctis;
       result.counters.pdr_obligations = r.counters.obligations;
-      result.counters.flight = std::move(r.flight);
       break;
     }
     case EngineKind::kPortfolio:

@@ -5,31 +5,11 @@
 #include <cstdio>
 #include <cstring>
 
+#include "util/json_escape.hpp"
+
 namespace trojanscout::proof {
 
 namespace {
-
-void append_escaped(std::string& out, const std::string& s) {
-  out.push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
 
 struct Parser {
   const char* p;
@@ -258,7 +238,9 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
       break;
     }
     case Type::kString:
-      append_escaped(out, string_);
+      out.push_back('"');
+      util::append_json_escaped(out, string_);
+      out.push_back('"');
       break;
     case Type::kArray: {
       out.push_back('[');
@@ -280,7 +262,9 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
         if (!first) out.push_back(',');
         first = false;
         newline(depth + 1);
-        append_escaped(out, entry.first);
+        out.push_back('"');
+        util::append_json_escaped(out, entry.first);
+        out.push_back('"');
         out.push_back(':');
         if (indent > 0) out.push_back(' ');
         entry.second.dump_to(out, indent, depth + 1);

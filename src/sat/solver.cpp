@@ -580,4 +580,13 @@ std::uint64_t Solver::luby(std::uint64_t i) {
   return 1ull << seq;
 }
 
+void add_frame_args(telemetry::Span& span, std::uint64_t frame,
+                    const SolverStats& before, const SolverStats& after) {
+  span.arg("frame", frame);
+  span.arg("decisions", after.decisions - before.decisions);
+  span.arg("propagations", after.propagations - before.propagations);
+  span.arg("conflicts", after.conflicts - before.conflicts);
+  span.arg("restarts", after.restarts - before.restarts);
+}
+
 }  // namespace trojanscout::sat

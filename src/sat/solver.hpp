@@ -21,6 +21,7 @@
 
 namespace trojanscout::telemetry {
 struct ObligationProgress;
+class Span;
 }  // namespace trojanscout::telemetry
 
 namespace trojanscout::sat {
@@ -58,6 +59,12 @@ struct SolverStats {
   std::uint64_t deleted_clauses = 0;
   std::uint64_t minimized_literals = 0;
 };
+
+/// Puts one engine frame's solver work on its trace span as args: `frame`
+/// plus the decisions/propagations/conflicts/restarts deltas between the
+/// two snapshots. BMC frames and PDR frontier levels both record this way.
+void add_frame_args(telemetry::Span& span, std::uint64_t frame,
+                    const SolverStats& before, const SolverStats& after);
 
 struct SolverOptions {
   bool enable_learning = true;   // ablation hook

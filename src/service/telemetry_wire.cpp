@@ -176,6 +176,11 @@ proof::Json trace_events_to_json(
     row.push_back(proof::Json(e.begin ? e.parent_id : 0u));
     row.push_back(proof::Json(e.tid));
     row.push_back(proof::Json(e.ts_us));
+    if (!e.args.empty()) {
+      proof::Json args = proof::Json::object();
+      for (const auto& [key, value] : e.args) args.set(key, value);
+      row.push_back(std::move(args));
+    }
     out.push_back(std::move(row));
   }
   return out;
@@ -188,8 +193,9 @@ bool trace_events_from_json(const proof::Json& json,
   if (!json.is_array()) return shape_error(error, "spans: not an array");
   out.reserve(json.items().size());
   for (const proof::Json& row : json.items()) {
-    if (!row.is_array() || row.items().size() != 6) {
-      return shape_error(error, "spans: row is not a 6-tuple");
+    if (!row.is_array() ||
+        (row.items().size() != 6 && row.items().size() != 7)) {
+      return shape_error(error, "spans: row is not a 6- or 7-tuple");
     }
     const auto& cols = row.items();
     if (!cols[0].is_int() || !cols[1].is_string() || !cols[2].is_int() ||
@@ -203,6 +209,21 @@ bool trace_events_from_json(const proof::Json& json,
     e.parent_id = static_cast<std::uint64_t>(cols[3].as_int());
     e.tid = static_cast<int>(cols[4].as_int());
     e.ts_us = static_cast<std::uint64_t>(cols[5].as_int());
+    if (cols.size() == 7) {
+      if (!cols[6].is_object()) {
+        return shape_error(error, "spans: args column is not an object");
+      }
+      for (const auto& [key, value] : cols[6].entries()) {
+        if (key == "span_id" || key == "parent_id") {
+          return shape_error(error, "spans: arg '" + key + "' is reserved");
+        }
+        if (!value.is_int() || value.as_int() < 0) {
+          return shape_error(error, "spans: arg '" + key +
+                                        "' is not a non-negative integer");
+        }
+        e.args.emplace_back(key, static_cast<std::uint64_t>(value.as_int()));
+      }
+    }
     out.push_back(std::move(e));
   }
   return true;

@@ -50,12 +50,16 @@ void merge_snapshot(telemetry::Registry::Snapshot& into,
 proof::Json series_to_json(const telemetry::TimeSeries& series);
 
 /// Span records → compact array of [ph, name, span_id, parent_id, tid,
-/// ts_us] rows (ph 1 = begin, 0 = end; end rows carry parent_id 0).
+/// ts_us] rows (ph 1 = begin, 0 = end; end rows carry parent_id 0). An
+/// event with span args (an engine frame's counters) gets a 7th column,
+/// {key: value, …}.
 proof::Json trace_events_to_json(
     const std::vector<telemetry::TraceEvent>& events);
 
 /// Inverse of trace_events_to_json. False (with `error`) on shape
-/// mismatch.
+/// mismatch: a row of other than 6 or 7 columns, or a 7th column that is
+/// not an object of non-negative integers keyed other than span_id /
+/// parent_id.
 bool trace_events_from_json(const proof::Json& json,
                             std::vector<telemetry::TraceEvent>& out,
                             std::string* error);

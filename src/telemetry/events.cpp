@@ -6,6 +6,8 @@
 
 #include <unistd.h>
 
+#include "util/json_escape.hpp"
+
 namespace trojanscout::telemetry {
 
 namespace {
@@ -19,32 +21,11 @@ std::uint64_t wall_ms() {
           .count());
 }
 
-void append_escaped(std::string& out, std::string_view text) {
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 std::string quoted(std::string_view text) {
   std::string out;
   out.reserve(text.size() + 2);
   out += '"';
-  append_escaped(out, text);
+  util::append_json_escaped(out, text);
   out += '"';
   return out;
 }

@@ -9,41 +9,13 @@
 #include <map>
 #include <unordered_map>
 
+#include "util/json_escape.hpp"
+
 namespace trojanscout::telemetry {
 
 namespace {
 
 constexpr const char* kObligationPrefix = "obligation:";
-
-void append_escaped(std::string& out, const std::string& text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
 
 std::string json_double(double value) {
   char buf[64];
@@ -67,7 +39,7 @@ void append_phase_array(std::string& out,
     if (!first) out += ',';
     first = false;
     out += "{\"name\":\"";
-    append_escaped(out, phase.name);
+    util::append_json_escaped(out, phase.name);
     out += "\",\"count\":" + std::to_string(phase.count);
     if (include_timing) {
       out += ",\"inclusive_us\":" + std::to_string(phase.inclusive_us);
@@ -309,7 +281,7 @@ std::string Profile::to_json(bool include_timing) const {
     if (!first) out += ',';
     first = false;
     out += "{\"name\":\"";
-    append_escaped(out, op.name);
+    util::append_json_escaped(out, op.name);
     out += '"';
     if (include_timing) out += ",\"total_us\":" + std::to_string(op.total_us);
     out += ",\"phases\":";
@@ -322,7 +294,7 @@ std::string Profile::to_json(bool include_timing) const {
     if (!first) out += ',';
     first = false;
     out += "{\"name\":\"";
-    append_escaped(out, timer.name);
+    util::append_json_escaped(out, timer.name);
     out += "\",\"count\":" + std::to_string(timer.count);
     if (include_timing) {
       out += ",\"sum_seconds\":" + json_double(timer.sum_seconds);

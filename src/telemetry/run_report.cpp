@@ -5,39 +5,11 @@
 #include <fstream>
 #include <utility>
 
+#include "util/json_escape.hpp"
+
 namespace trojanscout::telemetry {
 
 namespace {
-
-void append_escaped(std::string& out, const std::string& text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
 
 void append_double(std::string& out, double value) {
   char buf[40];
@@ -127,7 +99,7 @@ std::string RunReport::Record::to_json(bool include_timing) const {
     if (!first) out += ',';
     first = false;
     out += '"';
-    append_escaped(out, field.key);
+    util::append_json_escaped(out, field.key);
     out += "\":";
     switch (field.kind) {
       case Field::Kind::kInt:
@@ -146,7 +118,7 @@ std::string RunReport::Record::to_json(bool include_timing) const {
         break;
       case Field::Kind::kString:
         out += '"';
-        append_escaped(out, field.string_value);
+        util::append_json_escaped(out, field.string_value);
         out += '"';
         break;
       case Field::Kind::kUintArray: {

@@ -7,6 +7,8 @@
 #include <fstream>
 #include <utility>
 
+#include "util/json_escape.hpp"
+
 namespace trojanscout::telemetry {
 
 namespace {
@@ -22,36 +24,6 @@ std::uint64_t steady_ns() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-void append_escaped(std::string& out, const std::string& text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
 }
 
 }  // namespace
@@ -87,9 +59,9 @@ void TraceRecorder::begin_event(const std::string& name, std::uint64_t span_id,
 }
 
 void TraceRecorder::end_event(const std::string& name, std::uint64_t span_id,
-                              int tid, std::uint64_t ts_us) {
+                              int tid, std::uint64_t ts_us, TraceArgs args) {
   std::lock_guard<std::mutex> lock(mutex_);
-  events_.push_back({false, name, span_id, 0, tid, ts_us});
+  events_.push_back({false, name, span_id, 0, tid, ts_us, std::move(args)});
 }
 
 std::size_t TraceRecorder::event_count() const {
@@ -116,7 +88,7 @@ std::string TraceRecorder::to_chrome_json() const {
     if (!first) out += ',';
     first = false;
     out += "{\"name\":\"";
-    append_escaped(out, event.name);
+    util::append_json_escaped(out, event.name);
     std::snprintf(buf, sizeof(buf),
                   "\",\"ph\":\"%c\",\"ts\":%" PRIu64
                   ",\"pid\":1,\"tid\":%d,\"args\":{\"span_id\":%" PRIu64,
@@ -126,6 +98,12 @@ std::string TraceRecorder::to_chrome_json() const {
     if (event.begin) {
       std::snprintf(buf, sizeof(buf), ",\"parent_id\":%" PRIu64,
                     event.parent_id);
+      out += buf;
+    }
+    for (const auto& [key, value] : event.args) {
+      out += ",\"";
+      util::append_json_escaped(out, key);
+      std::snprintf(buf, sizeof(buf), "\":%" PRIu64, value);
       out += buf;
     }
     out += "}}";
@@ -162,10 +140,15 @@ void Span::open(std::uint64_t parent_id) {
 Span::~Span() {
   if (recorder_ == nullptr) return;
   recorder_->end_event(name_, id_, TraceRecorder::thread_tid(),
-                       recorder_->now_us());
+                       recorder_->now_us(), std::move(args_));
   tls_current_span = prev_current_;
 }
 
 std::uint64_t Span::current_id() { return tls_current_span; }
+
+void Span::arg(std::string_view key, std::uint64_t value) {
+  if (recorder_ == nullptr) return;
+  args_.emplace_back(key, value);
+}
 
 }  // namespace trojanscout::telemetry

@@ -12,17 +12,27 @@
 // with no recorder a Span construction is a single relaxed atomic load.
 // Events are emitted as matched "B"/"E" (duration begin/end) pairs with
 // span_id/parent_id args, timestamps in microseconds on the steady clock
-// since the recorder's construction.
+// since the recorder's construction. A span may also carry integer args of
+// its own (Span::arg), written on its "E" event next to span_id: the
+// engines put each frame's counter deltas on their `bmc:frame` /
+// `atpg:frame` / `pdr:frontier` spans, so the trace shows which frame got
+// hard and the span's B/E pair says how long it took.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include <memory>
 #include <mutex>
 
 namespace trojanscout::telemetry {
+
+/// A span's own args, in the order they were set. Keys must not be
+/// "span_id" or "parent_id", which the Chrome export writes itself.
+using TraceArgs = std::vector<std::pair<std::string, std::uint64_t>>;
 
 /// One begin/end trace event as recorded. Public so the phase profiler
 /// (telemetry/profile.hpp) can fold the span tree without reparsing the
@@ -34,6 +44,8 @@ struct TraceEvent {
   std::uint64_t parent_id = 0;
   int tid = 0;
   std::uint64_t ts_us = 0;
+  /// Span args; only end events carry them.
+  TraceArgs args = {};
 };
 
 class TraceRecorder {
@@ -59,7 +71,7 @@ class TraceRecorder {
   void begin_event(const std::string& name, std::uint64_t span_id,
                    std::uint64_t parent_id, int tid, std::uint64_t ts_us);
   void end_event(const std::string& name, std::uint64_t span_id, int tid,
-                 std::uint64_t ts_us);
+                 std::uint64_t ts_us, TraceArgs args = {});
 
   [[nodiscard]] std::size_t event_count() const;
 
@@ -106,6 +118,10 @@ class Span {
   /// The calling thread's innermost live span id (0 if none).
   static std::uint64_t current_id();
 
+  /// Attaches an integer arg, written on this span's end event. A no-op
+  /// when tracing was off at construction.
+  void arg(std::string_view key, std::uint64_t value);
+
  private:
   void open(std::uint64_t parent_id);
 
@@ -113,6 +129,7 @@ class Span {
   std::string name_;
   std::uint64_t id_ = 0;
   std::uint64_t prev_current_ = 0;
+  TraceArgs args_;
 };
 
 }  // namespace trojanscout::telemetry

@@ -436,6 +436,7 @@ TEST(FleetCoordinator, TraceStitchingYieldsOneValidTraceWithParity) {
   std::size_t shard_spans = 0;
   std::size_t obligation_spans = 0;
   std::size_t stitched_tids = 0;
+  std::size_t worker_frames_with_args = 0;
   for (const proof::Json& event : trace_events->items()) {
     ASSERT_TRUE(event.is_object());
     const std::string& ph = event.find("ph")->as_string();
@@ -449,6 +450,11 @@ TEST(FleetCoordinator, TraceStitchingYieldsOneValidTraceWithParity) {
           << "(tid " << tid << ", span " << name << ")";
     }
     last_ts[tid] = ts;
+    if (ph == "E" && name == "bmc:frame" && tid >= 1000 &&
+        event.find("args")->find("frame") != nullptr &&
+        event.find("args")->find("decisions") != nullptr) {
+      worker_frames_with_args++;
+    }
     if (ph != "B") continue;
     begun.push_back(static_cast<std::uint64_t>(
         event.find("args")->find("span_id")->as_int()));
@@ -463,6 +469,8 @@ TEST(FleetCoordinator, TraceStitchingYieldsOneValidTraceWithParity) {
       << "worker obligation spans must survive the stitch";
   EXPECT_GT(stitched_tids, 0u)
       << "stitched worker events must land on namespaced tids";
+  EXPECT_GT(worker_frames_with_args, 0u)
+      << "worker bmc:frame spans must keep their counter args";
   const std::set<std::uint64_t> begun_set(begun.begin(), begun.end());
   EXPECT_EQ(begun_set.size(), begun.size()) << "span ids must be unique";
   for (const proof::Json& event : trace_events->items()) {

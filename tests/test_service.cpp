@@ -716,6 +716,74 @@ TEST(TelemetryWire, MergeSnapshotEdgeCases) {
   EXPECT_NEAR(into.histograms[0].max_seconds, 0.008, 1e-9);
 }
 
+/// Decodes a span-records document given as JSON text.
+bool decode_spans(const std::string& text,
+                  std::vector<telemetry::TraceEvent>& out,
+                  std::string* error) {
+  proof::Json json;
+  if (!proof::Json::parse(text, json, error)) return false;
+  return trace_events_from_json(json, out, error);
+}
+
+TEST(TelemetryWire, TraceEventArgsRoundTripThroughJsonText) {
+  const std::vector<telemetry::TraceEvent> events = {
+      {true, "bmc:frame", 7, 3, 2, 100, {}},
+      {false, "bmc:frame", 7, 0, 2, 180,
+       {{"frame", 0}, {"decisions", 25}, {"propagations", 178},
+        {"conflicts", 3}, {"restarts", 0}}},
+  };
+  const proof::Json json = trace_events_to_json(events);
+  ASSERT_EQ(json.items().size(), 2u);
+  EXPECT_EQ(json.items()[0].items().size(), 6u) << "no args, no 7th column";
+  EXPECT_EQ(json.items()[1].items().size(), 7u);
+
+  std::vector<telemetry::TraceEvent> decoded;
+  std::string error;
+  ASSERT_TRUE(decode_spans(json.dump(), decoded, &error)) << error;
+  ASSERT_EQ(decoded.size(), 2u);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(decoded[i].begin, events[i].begin);
+    EXPECT_EQ(decoded[i].name, events[i].name);
+    EXPECT_EQ(decoded[i].span_id, events[i].span_id);
+    EXPECT_EQ(decoded[i].parent_id, events[i].parent_id);
+    EXPECT_EQ(decoded[i].tid, events[i].tid);
+    EXPECT_EQ(decoded[i].ts_us, events[i].ts_us);
+    EXPECT_EQ(decoded[i].args, events[i].args);
+  }
+}
+
+TEST(TelemetryWire, TraceEventsAcceptSixColumnRows) {
+  std::vector<telemetry::TraceEvent> decoded;
+  std::string error;
+  ASSERT_TRUE(decode_spans(R"([[1,"obligation:p",5,0,1,10],)"
+                           R"([0,"obligation:p",5,0,1,20]])",
+                           decoded, &error))
+      << error;
+  ASSERT_EQ(decoded.size(), 2u);
+  EXPECT_TRUE(decoded[0].args.empty());
+  EXPECT_TRUE(decoded[1].args.empty());
+}
+
+TEST(TelemetryWire, TraceEventsRejectMalformedArgs) {
+  // Span records arrive from another process: any malformed args column
+  // fails the whole batch.
+  const std::vector<std::pair<const char*, std::string>> bad = {
+      {"args not an object", R"([[0,"bmc:frame",5,0,1,20,[1,2]]])"},
+      {"args a number", R"([[0,"bmc:frame",5,0,1,20,7]])"},
+      {"non-integer value", R"([[0,"bmc:frame",5,0,1,20,{"frame":1.5}]])"},
+      {"string value", R"([[0,"bmc:frame",5,0,1,20,{"frame":"1"}]])"},
+      {"negative value", R"([[0,"bmc:frame",5,0,1,20,{"conflicts":-3}]])"},
+      {"reserved key", R"([[0,"bmc:frame",5,0,1,20,{"span_id":9}]])"},
+      {"8 columns", R"([[0,"bmc:frame",5,0,1,20,{"frame":1},{}]])"},
+  };
+  for (const auto& [label, text] : bad) {
+    std::vector<telemetry::TraceEvent> decoded;
+    std::string error;
+    EXPECT_FALSE(decode_spans(text, decoded, &error)) << label;
+    EXPECT_FALSE(error.empty()) << label;
+  }
+}
+
 TEST(AuditDaemon, MetricsVerbRendersExpositionConsistentWithStats) {
   ServiceFixture fx;
   AuditDaemon::Options options;

@@ -1,6 +1,7 @@
 // Telemetry subsystem tests: counter/histogram shard-merge determinism
 // across thread counts, span nesting exported as valid Chrome trace_event
-// JSON (matched B/E pairs, parent ids), the RunReport JSON-lines golden
+// JSON (matched B/E pairs, parent ids, span args), the engines' per-frame
+// counter args against their run totals, the RunReport JSON-lines golden
 // schema, and the jobs-invariance of the detection-report sink.
 #include <gtest/gtest.h>
 
@@ -16,8 +17,10 @@
 #include <thread>
 #include <vector>
 
+#include "core/detector.hpp"
 #include "core/parallel_detector.hpp"
 #include "core/telemetry_sink.hpp"
+#include "designs/catalog.hpp"
 #include "designs/mc8051.hpp"
 #include "proof/json.hpp"
 #include "telemetry/events.hpp"
@@ -156,6 +159,8 @@ struct ParsedEvent {
   std::int64_t ts = 0;
   std::uint64_t span_id = 0;
   std::uint64_t parent_id = 0;
+  /// The span's own args (everything but span_id / parent_id).
+  std::map<std::string, std::int64_t> args;
 };
 
 std::vector<ParsedEvent> parse_trace(const std::string& text) {
@@ -176,6 +181,11 @@ std::vector<ParsedEvent> parse_trace(const std::string& text) {
       p.span_id = static_cast<std::uint64_t>(args->find("span_id")->as_int());
       if (const proof::Json* parent = args->find("parent_id")) {
         p.parent_id = static_cast<std::uint64_t>(parent->as_int());
+      }
+      for (const auto& [key, value] : args->entries()) {
+        if (key != "span_id" && key != "parent_id") {
+          p.args[key] = value.as_int();
+        }
       }
     }
     out.push_back(p);
@@ -269,6 +279,160 @@ TEST(Span, TimestampsAreMonotonicPerThread) {
   for (std::size_t i = 1; i < events.size(); ++i) {
     EXPECT_LE(events[i - 1].ts, events[i].ts);
   }
+}
+
+TEST(Span, ArgsRideOnTheEndEvent) {
+  TraceRecorder recorder;
+  TraceRecorder::set_global(&recorder);
+  {
+    Span span("work");
+    span.arg("frame", 3);
+    span.arg("decisions", 70);
+  }
+  TraceRecorder::set_global(nullptr);
+
+  const auto events = parse_trace(recorder.to_chrome_json());
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_TRUE(events[0].args.empty());  // B carries only span/parent ids
+  const std::map<std::string, std::int64_t> expected = {{"frame", 3},
+                                                        {"decisions", 70}};
+  EXPECT_EQ(events[1].ph, "E");
+  EXPECT_EQ(events[1].args, expected);
+}
+
+TEST(Span, ArgWithoutRecorderIsANoOp) {
+  ASSERT_EQ(TraceRecorder::global(), nullptr);
+  TraceRecorder recorder;  // exists, but is not installed
+  {
+    Span span("idle");
+    span.arg("frame", 1);
+  }
+  EXPECT_EQ(recorder.event_count(), 0u);
+}
+
+// ---- engine frame spans --------------------------------------------------
+
+/// The frame spans of one engine run, read off the recorded end events.
+struct FrameArgs {
+  std::size_t spans = 0;
+  std::vector<std::uint64_t> frames;
+  std::map<std::string, std::uint64_t> sums;  // every arg but "frame"
+};
+
+FrameArgs collect_frame_args(const std::vector<TraceEvent>& events,
+                             const std::string& span_name,
+                             const std::vector<std::string>& keys) {
+  FrameArgs out;
+  for (const TraceEvent& e : events) {
+    if (e.begin || e.name != span_name) continue;
+    ++out.spans;
+    std::vector<std::string> seen;
+    for (const auto& [key, value] : e.args) {
+      seen.push_back(key);
+      if (key == "frame") {
+        out.frames.push_back(value);
+      } else {
+        out.sums[key] += value;
+      }
+    }
+    EXPECT_EQ(seen, keys) << span_name << " span " << out.spans;
+  }
+  return out;
+}
+
+/// Eq. 2 on clean mc8051's stack pointer at 8 frames, traced.
+core::CheckResult traced_sp_obligation(core::EngineKind kind,
+                                       TraceRecorder& recorder) {
+  const designs::Design design = designs::build_clean("mc8051");
+  core::DetectorOptions options;
+  options.engine.kind = kind;
+  options.engine.max_frames = 8;
+  options.engine.time_limit_seconds = 30.0;
+  TraceRecorder::set_global(&recorder);
+  core::CheckResult result =
+      core::TrojanDetector(design, options)
+          .run_obligation({core::Obligation::Kind::kCorruption, "sp", {}});
+  TraceRecorder::set_global(nullptr);
+  return result;
+}
+
+const std::vector<std::uint64_t> kFrames0To7 = {0, 1, 2, 3, 4, 5, 6, 7};
+
+TEST(FrameSpans, BmcFrameArgsSumToTheSolverCounters) {
+  TraceRecorder recorder;
+  const core::CheckResult result =
+      traced_sp_obligation(core::EngineKind::kBmc, recorder);
+  ASSERT_EQ(result.status, "bound-reached");
+  const FrameArgs frames = collect_frame_args(
+      recorder.events(), "bmc:frame",
+      {"frame", "decisions", "propagations", "conflicts", "restarts"});
+  EXPECT_EQ(frames.spans, result.frames_completed);
+  EXPECT_EQ(frames.frames, kFrames0To7);
+  const sat::SolverStats& sat = result.counters.sat;
+  EXPECT_EQ(frames.sums.at("decisions"), sat.decisions);
+  EXPECT_EQ(frames.sums.at("conflicts"), sat.conflicts);
+  EXPECT_EQ(frames.sums.at("restarts"), sat.restarts);
+  // One level-0 propagation falls outside the frame spans, so the frame
+  // sum is one short of the run total.
+  EXPECT_EQ(frames.sums.at("propagations"), 42882u);
+  EXPECT_EQ(sat.propagations, 42883u);
+}
+
+TEST(FrameSpans, AtpgFrameArgsSumToTheSearchCounters) {
+  TraceRecorder recorder;
+  const core::CheckResult result =
+      traced_sp_obligation(core::EngineKind::kAtpg, recorder);
+  ASSERT_EQ(result.status, "bound-reached");
+  const FrameArgs frames = collect_frame_args(
+      recorder.events(), "atpg:frame",
+      {"frame", "decisions", "backtracks", "implications"});
+  EXPECT_EQ(frames.spans, result.frames_completed);
+  EXPECT_EQ(frames.frames, kFrames0To7);
+  EXPECT_EQ(frames.sums.at("decisions"), result.counters.atpg_decisions);
+  EXPECT_EQ(frames.sums.at("backtracks"), result.counters.atpg_backtracks);
+  // The random-simulation phase implies values before the first frame
+  // span opens, so the frame sum falls short of the run total.
+  EXPECT_EQ(frames.sums.at("implications"), 69613u);
+  EXPECT_EQ(result.counters.atpg_implications, 70125u);
+}
+
+TEST(FrameSpans, PdrFrontierArgsSumToTheSolverCounters) {
+  TraceRecorder recorder;
+  const core::CheckResult result =
+      traced_sp_obligation(core::EngineKind::kPdr, recorder);
+  ASSERT_EQ(result.status, "proven-unbounded");
+  const FrameArgs frames = collect_frame_args(
+      recorder.events(), "pdr:frontier",
+      {"frame", "decisions", "propagations", "conflicts", "restarts"});
+  // One span per frontier level; this contract closes at level 1.
+  EXPECT_EQ(frames.spans, result.counters.pdr_frames);
+  EXPECT_EQ(frames.frames, std::vector<std::uint64_t>{1});
+  const sat::SolverStats& sat = result.counters.sat;
+  EXPECT_EQ(frames.sums.at("decisions"), sat.decisions);
+  EXPECT_EQ(frames.sums.at("conflicts"), sat.conflicts);
+  EXPECT_EQ(frames.sums.at("restarts"), sat.restarts);
+  // The frame-0 reset check solves before the first frontier span opens.
+  EXPECT_EQ(frames.sums.at("propagations"), 4912u);
+  EXPECT_EQ(sat.propagations, 5095u);
+}
+
+TEST(FrameSpans, NoRecorderHandsOutNoIdsAndRecordsNothing) {
+  TraceRecorder recorder;  // never installed: only reads the id counter
+  const std::uint64_t id_before = recorder.next_id();
+  for (const core::EngineKind kind :
+       {core::EngineKind::kBmc, core::EngineKind::kAtpg,
+        core::EngineKind::kPdr}) {
+    const designs::Design design = designs::build_clean("mc8051");
+    core::DetectorOptions options;
+    options.engine.kind = kind;
+    options.engine.max_frames = 8;
+    const core::CheckResult result =
+        core::TrojanDetector(design, options)
+            .run_obligation({core::Obligation::Kind::kCorruption, "sp", {}});
+    EXPECT_TRUE(result.bound_reached) << core::engine_name(kind);
+  }
+  EXPECT_EQ(recorder.next_id(), id_before + 1);
+  EXPECT_EQ(recorder.event_count(), 0u);
 }
 
 // ---- event log -----------------------------------------------------------

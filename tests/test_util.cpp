@@ -1,10 +1,14 @@
-// util module tests: BitVec, RNG, table printer, CLI parser, resource.
+// util module tests: BitVec, RNG, table printer, CLI parser, resource,
+// JSON string escaping.
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
+#include "proof/json.hpp"
 #include "util/bitvec.hpp"
 #include "util/cli.hpp"
+#include "util/json_escape.hpp"
 #include "util/resource.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -131,6 +135,37 @@ TEST(Cli, HexAndDoubleValues) {
   CliParser cli(3, argv);
   EXPECT_EQ(cli.get_int("addr", 0), 0x1F);
   EXPECT_DOUBLE_EQ(cli.get_double("ratio", 0), 2.5);
+}
+
+TEST(JsonEscape, EveryAsciiByteRoundTripsThroughTheParser) {
+  std::string all;
+  for (int b = 0x00; b <= 0x7f; ++b) {
+    const std::string text(1, static_cast<char>(b));
+    all += text;
+    std::string literal = "\"";
+    append_json_escaped(literal, text);
+    literal += '"';
+    proof::Json parsed;
+    std::string error;
+    ASSERT_TRUE(proof::Json::parse(literal, parsed, &error))
+        << "byte " << b << ": " << error;
+    ASSERT_TRUE(parsed.is_string()) << "byte " << b;
+    EXPECT_EQ(parsed.as_string(), text) << "byte " << b;
+    // Control bytes never appear raw in the output.
+    for (const char c : literal) {
+      EXPECT_GE(static_cast<unsigned char>(c), 0x20) << "byte " << b;
+    }
+  }
+  std::string escaped;
+  append_json_escaped(escaped, all);
+  proof::Json parsed;
+  ASSERT_TRUE(proof::Json::parse("\"" + escaped + "\"", parsed, nullptr));
+  EXPECT_EQ(parsed.as_string(), all);
+
+  // The short forms, and \u00XX for the other control bytes.
+  std::string forms;
+  append_json_escaped(forms, std::string("\"\\\n\r\t\x01\x1f", 7));
+  EXPECT_EQ(forms, "\\\"\\\\\\n\\r\\t\\u0001\\u001f");
 }
 
 TEST(Resource, RssIsPositive) {

@@ -4,12 +4,11 @@
 The file kind is auto-detected from its shape:
   * a JSON object with "traceEvents"      -> --trace-out Chrome trace
     (required event keys, monotone timestamps per tid, parent-id
-    referential integrity, end-events matching an opened span);
+    referential integrity, end-events matching an opened span, span args
+    such as an engine frame's counters non-negative integers);
   * "schema": "trojanscout-profile-v1"    -> --profile-out phase profile;
   * "schema": "trojanscout-bench-v1"      -> --bench-out history artifact;
   * "schema": "trojanscout-corpus-v1"     -> fuzz --out mutation corpus;
-  * "schema": "trojanscout-flight-v1"     -> audit --flight-out per-frame
-    search-counter windows;
   * first line starting with "# TYPE"     -> Prometheus text exposition
     (submit --metrics output: TYPE before samples, counter families end
     in _total, histogram buckets strictly increasing / cumulative with
@@ -732,44 +731,6 @@ def diff_expositions(before_text, after_text):
     return errors
 
 
-def check_flight(doc):
-    """audit --flight-out per-frame search-counter windows."""
-    errors = []
-    for key, expected in (("design", str), ("engine", str), ("runs", list)):
-        err = check_field(doc, key, expected)
-        if err:
-            errors.append(err)
-    for run in doc.get("runs", []) if isinstance(doc.get("runs"), list) \
-            else []:
-        if not isinstance(run, dict):
-            errors.append("run entry is not an object")
-            continue
-        label = f"run '{run.get('property', '?')}'"
-        for key, expected in (("property", str), ("status", str),
-                              ("windows", list)):
-            err = check_field(run, key, expected)
-            if err:
-                errors.append(f"{label}: {err}")
-        previous_frame = None
-        for i, window in enumerate(run.get("windows", [])) \
-                if isinstance(run.get("windows"), list) else []:
-            if not isinstance(window, dict):
-                errors.append(f"{label} window {i}: not an object")
-                continue
-            for key in ("frame", "decisions", "propagations", "conflicts",
-                        "restarts", "backtracks", "implications", "wall_us"):
-                err = check_field(window, key, int)
-                if err:
-                    errors.append(f"{label} window {i}: {err}")
-            frame = window.get("frame")
-            if isinstance(frame, int) and not isinstance(frame, bool):
-                if previous_frame is not None and frame <= previous_frame:
-                    errors.append(f"{label} window {i}: frame {frame} not "
-                                  f"increasing (previous {previous_frame})")
-                previous_frame = frame
-    return errors
-
-
 def check_trace(doc):
     """Chrome trace_event JSON from --trace-out (telemetry/span.cpp)."""
     errors = []
@@ -802,6 +763,14 @@ def check_trace(doc):
             span_ids.add(args["span_id"])
             if not isinstance(args.get("parent_id"), int):
                 errors.append(f"{label}: begin event lacks int parent_id")
+        # The span's own args (an engine frame's counter deltas) are counts.
+        for key, value in args.items():
+            if key in ("span_id", "parent_id"):
+                continue
+            if not isinstance(value, int) or isinstance(value, bool) \
+                    or value < 0:
+                errors.append(f"{label}: arg {key!r} = {value!r} is not a "
+                              f"non-negative int")
         tid = ev.get("tid")
         ts = ev.get("ts")
         if isinstance(tid, int) and isinstance(ts, (int, float)):
@@ -1066,8 +1035,6 @@ def check_text(path, text):
         return [f"{path} (bench): {e}" for e in check_bench(doc)]
     if isinstance(doc, dict) and doc.get("schema") == "trojanscout-corpus-v1":
         return [f"{path} (corpus): {e}" for e in check_corpus(doc)]
-    if isinstance(doc, dict) and doc.get("schema") == "trojanscout-flight-v1":
-        return [f"{path} (flight): {e}" for e in check_flight(doc)]
     if isinstance(doc, dict) and "schema" in doc:
         return [f"{path}: unknown schema {doc['schema']!r}"]
     if isinstance(doc, dict) and doc.get("type") == "stats":
@@ -1249,23 +1216,6 @@ def _self_test_samples():
     shrunk = exposition.replace(
         "trojanscout_cache_hit_total 42", "trojanscout_cache_hit_total 7")
 
-    flight = {"schema": "trojanscout-flight-v1", "design": "mc8051",
-              "engine": "BMC", "runs": [
-                  {"property": "sp/way0", "status": "bound_reached",
-                   "windows": [
-                       {"frame": 0, "decisions": 25, "propagations": 178,
-                        "conflicts": 3, "restarts": 0, "backtracks": 0,
-                        "implications": 0, "wall_us": 45},
-                       {"frame": 1, "decisions": 11, "propagations": 96,
-                        "conflicts": 1, "restarts": 0, "backtracks": 0,
-                        "implications": 0, "wall_us": 30}]},
-                  {"property": "sp/way1", "status": "violated",
-                   "windows": []}]}
-    flight_backwards = json.loads(json.dumps(flight))
-    flight_backwards["runs"][0]["windows"][1]["frame"] = 0
-    flight_untimed = json.loads(json.dumps(flight))
-    del flight_untimed["runs"][0]["windows"][0]["wall_us"]
-
     trace = {"traceEvents": [
         {"name": "fleet:job:fleet-1", "ph": "B", "ts": 0, "pid": 1,
          "tid": 1, "args": {"span_id": 1, "parent_id": 0}},
@@ -1277,6 +1227,15 @@ def _self_test_samples():
          "tid": 1, "args": {"span_id": 1}}]}
     bad_trace = json.loads(json.dumps(trace))
     bad_trace["traceEvents"][2]["ts"] = 3  # backwards on tid 1000
+    frame_trace = json.loads(json.dumps(trace))
+    frame_trace["traceEvents"][1:3] = [
+        {"name": "bmc:frame", "ph": "B", "ts": 5, "pid": 1, "tid": 1000,
+         "args": {"span_id": 2, "parent_id": 1}},
+        {"name": "bmc:frame", "ph": "E", "ts": 9, "pid": 1, "tid": 1000,
+         "args": {"span_id": 2, "frame": 0, "decisions": 25,
+                  "propagations": 178, "conflicts": 3, "restarts": 0}}]
+    negative_arg = json.loads(json.dumps(frame_trace))
+    negative_arg["traceEvents"][2]["args"]["conflicts"] = -3
 
     return [
         ("events/good", good_events, True),
@@ -1300,11 +1259,10 @@ def _self_test_samples():
         ("exposition/shrinking-buckets", shrinking_buckets, False),
         ("exposition/inf-count-mismatch", inf_mismatch, False),
         ("exposition/counter-without-total", untotaled_counter, False),
-        ("flight/good", json.dumps(flight), True),
-        ("flight/backwards-frame", json.dumps(flight_backwards), False),
-        ("flight/missing-wall-us", json.dumps(flight_untimed), False),
         ("trace/good", json.dumps(trace), True),
         ("trace/backwards-ts", json.dumps(bad_trace), False),
+        ("trace/frame-args", json.dumps(frame_trace), True),
+        ("trace/negative-arg", json.dumps(negative_arg), False),
         ("unknown-schema", json.dumps({"schema": "trojanscout-bogus-v9"}),
          False),
         ("diff/monotone", (exposition, grown), True),

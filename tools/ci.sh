@@ -210,10 +210,16 @@ if command -v python3 >/dev/null 2>&1; then
   "$rel/tools/trojanscout_cli" audit --design="$art/ip.v" \
       --spec="$src/specs/mc8051_sp.spec" --frames=8 --jobs=2 \
       --signature-out="$art/sig_direct" \
-      --flight-out="$art/audit_flight.json" \
+      --trace-out="$art/audit_frames_trace.json" \
       >"$art/audit_direct.stdout" 2>&1 || status=$?
   if [ "$status" -ne 2 ]; then
     echo "FAIL: direct audit expected exit 2, got $status"
+    exit 1
+  fi
+  # Every BMC frame span closes with its solver-counter deltas as args.
+  if ! grep -q '"name":"bmc:frame","ph":"E",[^}]*"decisions":' \
+      "$art/audit_frames_trace.json"; then
+    echo "FAIL: audit trace has no bmc:frame span carrying counter args"
     exit 1
   fi
   if ! cmp -s "$art/sig_daemon_cold" "$art/sig_direct" \
@@ -329,6 +335,12 @@ if command -v python3 >/dev/null 2>&1; then
       exit 1
     fi
   done
+  # Worker frame spans keep their counter args through the stitch.
+  if ! grep -q '"name":"bmc:frame","ph":"E",[^}]*"decisions":' \
+      "$art/fleet_trace.json"; then
+    echo "FAIL: stitched fleet trace lost the worker frame-span args"
+    exit 1
+  fi
   # The unmeetable 1 ms SLO must have produced structured breach events.
   if ! grep -q '"type": *"slo_breach"' "$art/fleet_events.jsonl"; then
     echo "FAIL: fleet events lack slo_breach records despite a 1ms SLO"
@@ -346,7 +358,7 @@ if command -v python3 >/dev/null 2>&1; then
       "$art/portfolio.jsonl" "$art/portfolio_audit_metrics.jsonl" \
       "$art/parallel_scaling.jsonl" "$art/audit_trace.json" \
       "$art/audit_profile.json" "$art/audit_metrics.jsonl" \
-      "$art/audit_cached_metrics.jsonl" "$art/audit_flight.json" \
+      "$art/audit_cached_metrics.jsonl" "$art/audit_frames_trace.json" \
       "$art/fleet_trace.json" "$art/fleet_events.jsonl" \
       "$art/fleet_stats.json" "$art/fleet_top.json" \
       "$art/fleet_metrics_1.txt" "$art/fleet_metrics_2.txt" \

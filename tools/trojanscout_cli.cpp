@@ -10,7 +10,7 @@
 //                         [--frames N] [--budget S] [--no-scan] [--no-bypass]
 //                         [--trace-out trace.json] [--metrics-out run.jsonl]
 //                         [--profile-out profile.json] [--progress[=SECS]]
-//                         [--stall-window SECS] [--flight-out flight.json]
+//                         [--stall-window SECS]
 //   trojanscout_cli prove --design ip.v --spec ip.spec --register cfg
 //                         [--frames N] [--budget S]   (check --engine=pdr;
 //                         exit 0 proven, 2 witness, 1 neither)
@@ -107,9 +107,9 @@
 // rate, queue depth, sparkline rate history, slowest obligations).
 // --slo-ms / --slo-obligation-ms arm deadline tracking on the
 // coordinator: breaches tick slo.* burn-rate counters and emit
-// `slo_breach` event records. `audit --flight-out` dumps the engines'
-// per-frame flight recorder (solver/search counter deltas + frame wall
-// time) as a `trojanscout-flight-v1` document.
+// `slo_breach` event records. In an `audit --trace-out` trace every
+// engine frame span (`bmc:frame`, `atpg:frame`, `pdr:frontier`) carries
+// that frame's solver/search counter deltas as args.
 //
 // `certify` is `audit` with evidence: every violated property carries its
 // witness, every BMC-clean frame carries a binary-DRAT proof, bundled into
@@ -193,7 +193,7 @@ int usage() {
          "               [--cache-max-mb N] [--signature-out FILE]\n"
          "               [--trace-out t.json] [--metrics-out run.jsonl]\n"
          "               [--profile-out p.json] [--progress[=SECS]]\n"
-         "               [--stall-window SECS] [--flight-out f.json]\n"
+         "               [--stall-window SECS]\n"
          "               run Algorithm 1 over every spec'd register\n"
          "  prove      --design ip.v --spec ip.spec --register REG\n"
          "               [--frames N] [--budget S] [--minimize]\n"
@@ -327,52 +327,6 @@ void write_signature(const std::string& path,
   if (!os) throw std::runtime_error("cannot write " + path);
   os << report.signature();
   std::cout << "signature written to " << path << "\n";
-}
-
-/// Serializes every run's flight-recorder windows (--flight-out) as one
-/// `trojanscout-flight-v1` document: per obligation, the engine's
-/// per-frame counter deltas (solver decisions/propagations/conflicts/
-/// restarts for BMC, decisions/backtracks/implications for ATPG) plus the
-/// frame's wall time. wall_us is the documented timing carve-out — it is
-/// observational and never flows into cached verdicts or run reports.
-void write_flight(const std::string& path, const std::string& design_name,
-                  const std::string& engine,
-                  const core::DetectionReport& report) {
-  if (path.empty()) return;
-  proof::Json doc = proof::Json::object();
-  doc.set("schema", "trojanscout-flight-v1");
-  doc.set("design", design_name);
-  doc.set("engine", engine);
-  proof::Json runs = proof::Json::array();
-  std::size_t windows_total = 0;
-  for (const core::PropertyRun& run : report.runs) {
-    proof::Json r = proof::Json::object();
-    r.set("property", run.property);
-    r.set("status", run.check.status);
-    proof::Json windows = proof::Json::array();
-    for (const telemetry::FlightWindow& w : run.check.counters.flight) {
-      proof::Json jw = proof::Json::object();
-      jw.set("frame", w.frame);
-      jw.set("decisions", w.decisions);
-      jw.set("propagations", w.propagations);
-      jw.set("conflicts", w.conflicts);
-      jw.set("restarts", w.restarts);
-      jw.set("backtracks", w.backtracks);
-      jw.set("implications", w.implications);
-      jw.set("wall_us", w.wall_us);
-      windows.push_back(std::move(jw));
-      windows_total++;
-    }
-    r.set("windows", std::move(windows));
-    runs.push_back(std::move(r));
-  }
-  doc.set("runs", std::move(runs));
-  std::ofstream os(path);
-  if (!os) throw std::runtime_error("cannot write " + path);
-  os << doc.dump_pretty() << "\n";
-  std::cout << "flight record written to " << path << " ("
-            << report.runs.size() << " runs, " << windows_total
-            << " windows)\n";
 }
 
 netlist::Netlist load_design(const util::CliParser& cli) {
@@ -613,8 +567,6 @@ int cmd_audit(const util::CliParser& cli) {
   }
   if (verdict_cache != nullptr) print_cache_summary(*verdict_cache);
   write_signature(cli.get_string("signature-out", ""), report);
-  write_flight(cli.get_string("flight-out", ""), design.name,
-               core::engine_name(options.detector.engine.kind), report);
   std::cout << report.summary() << "\n";
   std::cout << "peak RSS: " << util::peak_rss_summary() << "\n";
   if (!report.trojan_found) return 0;
