@@ -73,8 +73,14 @@ class Engine {
     AtpgResult result;
 
     {
+      // The random phase's implications ride on its span as args, so the
+      // spans' args sum to the run's counters.
       telemetry::Span random_span("atpg:random-sim");
-      if (random_phase(timer, result)) {
+      const bool found = random_phase(timer, result);
+      random_span.arg("decisions", decisions_);
+      random_span.arg("backtracks", backtracks_);
+      random_span.arg("implications", implications_);
+      if (found) {
         result.seconds = timer.elapsed_seconds();
         const std::uint64_t rss_now = util::current_rss_bytes();
         result.memory_bytes =

@@ -1,6 +1,7 @@
 #include "bmc/bmc.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "cnf/unroller.hpp"
 #include "telemetry/progress.hpp"
@@ -34,7 +35,12 @@ BmcResult check_bad_signal(const netlist::Netlist& nl,
   // Attach before the Unroller exists: its constructor already emits the
   // constant-true clause, which must be part of the recorded formula.
   if (options.proof != nullptr) solver.set_proof_listener(options.proof);
+  // The constructor's constant-true unit propagates at level 0; that work
+  // rides on a setup span, so the spans' args sum to the run's counters.
+  std::optional<telemetry::Span> setup_span(std::in_place, "bmc:setup");
   cnf::Unroller unroller(nl, solver, {bad_signal});
+  sat::add_solver_args(*setup_span, {}, solver.stats());
+  setup_span.reset();
 
   BmcResult result;
   for (std::size_t t = 0; t < options.max_frames; ++t) {

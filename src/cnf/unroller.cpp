@@ -12,7 +12,6 @@ using netlist::Gate;
 using netlist::Netlist;
 using netlist::Op;
 using netlist::SignalId;
-using sat::Clause;
 using sat::Lit;
 using sat::Var;
 
@@ -128,10 +127,10 @@ Lit Unroller::encode_gate(SignalId id, std::size_t frame) {
       const Lit b = in(1);
       const Lit c = Lit(solver_.new_var(), false);
       ++vars_allocated_;
-      solver_.add_clause(Clause{~c, a, b});
-      solver_.add_clause(Clause{~c, ~a, ~b});
-      solver_.add_clause(Clause{c, ~a, b});
-      solver_.add_clause(Clause{c, a, ~b});
+      solver_.add_clause(~c, a, b);
+      solver_.add_clause(~c, ~a, ~b);
+      solver_.add_clause(c, ~a, b);
+      solver_.add_clause(c, a, ~b);
       return g.op == Op::kXor ? c : ~c;
     }
     case Op::kMux: {
@@ -140,13 +139,13 @@ Lit Unroller::encode_gate(SignalId id, std::size_t frame) {
       const Lit f = in(2);
       const Lit c = Lit(solver_.new_var(), false);
       ++vars_allocated_;
-      solver_.add_clause(Clause{~s, ~t, c});
-      solver_.add_clause(Clause{~s, t, ~c});
-      solver_.add_clause(Clause{s, ~f, c});
-      solver_.add_clause(Clause{s, f, ~c});
+      solver_.add_clause(~s, ~t, c);
+      solver_.add_clause(~s, t, ~c);
+      solver_.add_clause(s, ~f, c);
+      solver_.add_clause(s, f, ~c);
       // Redundant but propagation-strengthening clauses.
-      solver_.add_clause(Clause{~t, ~f, c});
-      solver_.add_clause(Clause{t, f, ~c});
+      solver_.add_clause(~t, ~f, c);
+      solver_.add_clause(t, f, ~c);
       return c;
     }
   }

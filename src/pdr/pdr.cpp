@@ -394,11 +394,15 @@ PdrResult Ic3::run() {
     r.cancelled = cancelled_;
   };
 
-  // Base case: can the reset state itself raise bad under some input?
+  // Base case: can the reset state itself raise bad under some input? The
+  // span's args carry all solver work up to here, so the spans' args sum
+  // to the run's counters.
   {
+    telemetry::Span reset_span("pdr:reset");
     std::vector<sat::Lit> assumptions = frame_assumptions(0);
     assumptions.push_back(bad0_);
     const sat::SolveResult r = solve(assumptions);
+    sat::add_solver_args(reset_span, {}, solver_.stats());
     if (r == sat::SolveResult::kSat) {
       result.status = PdrStatus::kViolated;
       sim::Witness witness;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <stdexcept>
 
 #include "telemetry/progress.hpp"
@@ -44,7 +45,22 @@ Var Solver::new_var() {
   return v;
 }
 
-bool Solver::add_clause(Clause lits) {
+bool Solver::add_clause(Lit a) {
+  input_buf_.assign({a});
+  return add_clause(input_buf_);
+}
+
+bool Solver::add_clause(Lit a, Lit b) {
+  input_buf_.assign({a, b});
+  return add_clause(input_buf_);
+}
+
+bool Solver::add_clause(Lit a, Lit b, Lit c) {
+  input_buf_.assign({a, b, c});
+  return add_clause(input_buf_);
+}
+
+bool Solver::add_clause(const Clause& lits) {
   // The proof log records the clause exactly as given (pre-simplification):
   // that is the formula the caller believes it asked about, and the clause
   // the independent checker will re-derive from the same encoder.
@@ -54,19 +70,24 @@ bool Solver::add_clause(Clause lits) {
 
   // Simplify: sort, drop duplicates, detect tautologies, strip level-0
   // falsified literals, and return early on level-0 satisfied literals.
-  std::sort(lits.begin(), lits.end());
-  Clause out;
+  // Kept literals are compacted to the front of the sorted copy.
+  Clause& out = simplify_buf_;
+  out.assign(lits.begin(), lits.end());
+  std::sort(out.begin(), out.end());
+  std::size_t kept = 0;
   Lit prev = undef_lit();
-  for (const Lit p : lits) {
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const Lit p = out[i];
     if (p.var() >= num_vars()) {
       throw std::out_of_range("add_clause: literal references unknown var");
     }
     if (value(p) == LBool::kTrue || p == ~prev) return true;  // satisfied / taut
     if (value(p) != LBool::kFalse && p != prev) {
-      out.push_back(p);
+      out[kept++] = p;
       prev = p;
     }
   }
+  out.resize(kept);
 
   // A stripped literal was falsified by level-0 propagation, which the
   // checker reproduces, so the simplified clause is RUP with respect to the
@@ -88,28 +109,50 @@ bool Solver::add_clause(Clause lits) {
     return true;
   }
 
-  InternalClause clause;
-  clause.lits = std::move(out);
-  clause.learnt = false;
-  attach_clause(std::move(clause));
+  attach_clause(out, /*learnt=*/false, 0.0);
   return true;
 }
 
-Solver::CRef Solver::attach_clause(InternalClause&& clause) {
-  const CRef cref = static_cast<CRef>(clauses_.size());
-  clauses_.push_back(std::move(clause));
-  const auto& lits = clauses_[cref].lits;
+Solver::CRef Solver::attach_clause(const Clause& lits, bool learnt,
+                                   double activity) {
   assert(lits.size() >= 2);
+  const CRef cref = static_cast<CRef>(arena_.size());
+  arena_.push_back(static_cast<std::uint32_t>(lits.size()) << 2 |
+                   (learnt ? kLearntBit : 0));
+  arena_.resize(arena_.size() + kHeaderWords - 1);
+  set_clause_activity(cref, activity);
+  for (const Lit p : lits) arena_.push_back(static_cast<std::uint32_t>(p.index()));
   watches_[(~lits[0]).index()].push_back(Watcher{cref, lits[1]});
   watches_[(~lits[1]).index()].push_back(Watcher{cref, lits[0]});
+  attached_clauses_++;
   return cref;
 }
 
 void Solver::detach_clause(CRef cref) {
-  // Lazy detach: mark deleted; propagate() drops stale watchers as it walks.
-  if (proof_ != nullptr) proof_->on_delete(clauses_[cref].lits);
-  clauses_[cref].deleted = true;
+  // Lazy detach: mark deleted; propagate() drops stale watchers it visits
+  // and compact() drops the rest.
+  if (proof_ != nullptr) proof_->on_delete(clause_copy(cref));
+  arena_[cref] |= kDeletedBit;
+  wasted_words_ += kHeaderWords + clause_size(cref);
   stats_.deleted_clauses++;
+}
+
+double Solver::clause_activity(CRef c) const {
+  double activity = 0.0;
+  std::memcpy(&activity, &arena_[c + 1], sizeof(activity));
+  return activity;
+}
+
+void Solver::set_clause_activity(CRef c, double activity) {
+  std::memcpy(&arena_[c + 1], &activity, sizeof(activity));
+}
+
+const Clause& Solver::clause_copy(CRef c) {
+  proof_buf_.clear();
+  for (std::uint32_t k = 0; k < clause_size(c); ++k) {
+    proof_buf_.push_back(clause_lit(c, k));
+  }
+  return proof_buf_;
 }
 
 void Solver::unchecked_enqueue(Lit p, CRef from) {
@@ -124,35 +167,39 @@ Solver::CRef Solver::propagate() {
   CRef conflict = kNullCRef;
   while (qhead_ < trail_.size()) {
     const Lit p = trail_[qhead_++];
+    const auto false_word = static_cast<std::uint32_t>((~p).index());
     stats_.propagations++;
-    auto& ws = watches_[p.index()];
-    std::size_t i = 0;
-    std::size_t j = 0;
-    const std::size_t n = ws.size();
-    while (i < n) {
-      const Watcher w = ws[i++];
-      if (clauses_[w.cref].deleted) continue;  // drop stale watcher
+    std::vector<Watcher>& ws = watches_[p.index()];
+    Watcher* i = ws.data();
+    Watcher* j = i;
+    Watcher* const end = i + ws.size();
+    while (i != end) {
+      const Watcher w = *i++;
+      // The blocker is tested before the clause is touched: a satisfied
+      // clause costs no arena access, stale or not.
       if (value(w.blocker) == LBool::kTrue) {
-        ws[j++] = w;
+        *j++ = w;
         continue;
       }
-      InternalClause& c = clauses_[w.cref];
-      auto& lits = c.lits;
-      const Lit false_lit = ~p;
-      if (lits[0] == false_lit) std::swap(lits[0], lits[1]);
-      assert(lits[1] == false_lit);
+      std::uint32_t* const header = &arena_[w.cref];
+      if ((*header & kDeletedBit) != 0) continue;  // drop stale watcher
+      std::uint32_t* const lits = header + kHeaderWords;
+      if (lits[0] == false_word) std::swap(lits[0], lits[1]);
+      assert(lits[1] == false_word);
 
-      const Lit first = lits[0];
+      const Lit first = Lit::from_index(static_cast<int>(lits[0]));
       if (first != w.blocker && value(first) == LBool::kTrue) {
-        ws[j++] = Watcher{w.cref, first};
+        *j++ = Watcher{w.cref, first};
         continue;
       }
 
       bool found_watch = false;
-      for (std::size_t k = 2; k < lits.size(); ++k) {
-        if (value(lits[k]) != LBool::kFalse) {
+      const std::uint32_t size = *header >> 2;
+      for (std::uint32_t k = 2; k < size; ++k) {
+        if (value(Lit::from_index(static_cast<int>(lits[k]))) !=
+            LBool::kFalse) {
           std::swap(lits[1], lits[k]);
-          watches_[(~lits[1]).index()].push_back(Watcher{w.cref, first});
+          watches_[lits[1] ^ 1u].push_back(Watcher{w.cref, first});
           found_watch = true;
           break;
         }
@@ -160,19 +207,16 @@ Solver::CRef Solver::propagate() {
       if (found_watch) continue;
 
       // Clause is unit or conflicting; keep the watcher.
-      ws[j++] = Watcher{w.cref, first};
+      *j++ = Watcher{w.cref, first};
       if (value(first) == LBool::kFalse) {
         conflict = w.cref;
         qhead_ = trail_.size();
-        while (i < n) {
-          const Watcher rest = ws[i++];
-          if (!clauses_[rest.cref].deleted) ws[j++] = rest;
-        }
+        while (i != end) *j++ = *i++;
         break;
       }
       unchecked_enqueue(first, w.cref);
     }
-    ws.resize(j);
+    ws.resize(static_cast<std::size_t>(j - ws.data()));
     if (conflict != kNullCRef) break;
   }
   return conflict;
@@ -206,12 +250,12 @@ void Solver::analyze(CRef conflict, Clause& out_learnt, int& out_btlevel) {
 
   do {
     assert(reason_cref != kNullCRef);
-    InternalClause& c = clauses_[reason_cref];
-    if (c.learnt) claus_bump_activity(c);
+    if (clause_learnt(reason_cref)) claus_bump_activity(reason_cref);
 
-    const std::size_t start = (p == undef_lit()) ? 0 : 1;
-    for (std::size_t k = start; k < c.lits.size(); ++k) {
-      const Lit q = c.lits[k];
+    const std::uint32_t start = (p == undef_lit()) ? 0 : 1;
+    const std::uint32_t size = clause_size(reason_cref);
+    for (std::uint32_t k = start; k < size; ++k) {
+      const Lit q = clause_lit(reason_cref, k);
       if (seen_[q.var()] == 0 && level_[q.var()] > 0) {
         seen_[q.var()] = 1;
         var_bump_activity(q.var());
@@ -275,9 +319,9 @@ void Solver::analyze(CRef conflict, Clause& out_learnt, int& out_btlevel) {
 bool Solver::literal_is_redundant(Lit p) {
   const CRef reason_cref = reason_[p.var()];
   if (reason_cref == kNullCRef) return false;  // decision: required
-  const InternalClause& c = clauses_[reason_cref];
-  for (std::size_t k = 1; k < c.lits.size(); ++k) {
-    const Lit q = c.lits[k];
+  const std::uint32_t size = clause_size(reason_cref);
+  for (std::uint32_t k = 1; k < size; ++k) {
+    const Lit q = clause_lit(reason_cref, k);
     if (level_[q.var()] == 0) continue;      // implied fact
     if (seen_[q.var()] != 0) continue;        // already in the clause
     return false;
@@ -290,26 +334,57 @@ void Solver::reduce_db() {
   // keeping binary clauses and clauses locked as reasons.
   std::sort(learnt_refs_.begin(), learnt_refs_.end(),
             [this](CRef a, CRef b) {
-              return clauses_[a].activity < clauses_[b].activity;
+              return clause_activity(a) < clause_activity(b);
             });
   const std::size_t target = learnt_refs_.size() / 2;
   std::size_t removed = 0;
-  std::vector<CRef> kept;
-  kept.reserve(learnt_refs_.size());
+  std::size_t kept = 0;
   for (const CRef cref : learnt_refs_) {
-    InternalClause& c = clauses_[cref];
+    const Lit first = clause_lit(cref, 0);
     const bool locked =
-        value(c.lits[0]) == LBool::kTrue && reason_[c.lits[0].var()] == cref;
-    if (removed < target && !locked && c.lits.size() > 2 && !c.deleted) {
+        value(first) == LBool::kTrue && reason_[first.var()] == cref;
+    if (removed < target && !locked && clause_size(cref) > 2) {
       detach_clause(cref);
-      c.lits.clear();
-      c.lits.shrink_to_fit();
       removed++;
-    } else if (!c.deleted) {
-      kept.push_back(cref);
+    } else {
+      learnt_refs_[kept++] = cref;
     }
   }
-  learnt_refs_ = std::move(kept);
+  learnt_refs_.resize(kept);
+  if (wasted_words_ * 2 > arena_.size()) compact();
+}
+
+void Solver::compact() {
+  // Live clauses slide down in arena order; each old header's activity
+  // words then hold the clause's new offset, so every reference is
+  // rewritten with one lookup. Watch lists keep their order (only stale
+  // watchers drop out), which keeps the search identical.
+  std::vector<std::uint32_t> moved;
+  moved.reserve(arena_.size() - wasted_words_);
+  for (CRef c = 0; c < arena_.size();) {
+    const std::uint32_t words = kHeaderWords + clause_size(c);
+    if (!clause_deleted(c)) {
+      const auto to = static_cast<std::uint32_t>(moved.size());
+      moved.insert(moved.end(), arena_.begin() + c, arena_.begin() + c + words);
+      arena_[c + 1] = to;
+    }
+    c += words;
+  }
+  const auto relocated = [this](CRef c) { return arena_[c + 1]; };
+  for (auto& ws : watches_) {
+    std::size_t j = 0;
+    for (const Watcher& w : ws) {
+      if (!clause_deleted(w.cref)) ws[j++] = Watcher{relocated(w.cref), w.blocker};
+    }
+    ws.resize(j);
+  }
+  for (const Lit p : trail_) {
+    CRef& reason = reason_[p.var()];
+    if (reason != kNullCRef) reason = relocated(reason);
+  }
+  for (CRef& cref : learnt_refs_) cref = relocated(cref);
+  arena_ = std::move(moved);
+  wasted_words_ = 0;
 }
 
 Lit Solver::pick_branch_lit() {
@@ -400,11 +475,7 @@ SolveResult Solver::solve_inner(const std::vector<Lit>& assumptions,
         // The clause is attached even with learning disabled: it is needed as
         // the reason for the asserting literal. The "no learning" ablation is
         // realized by an aggressive retention capacity (see below).
-        InternalClause c;
-        c.lits = learnt;
-        c.learnt = true;
-        c.activity = clause_inc_;
-        const CRef cref = attach_clause(std::move(c));
+        const CRef cref = attach_clause(learnt, /*learnt=*/true, clause_inc_);
         learnt_refs_.push_back(cref);
         stats_.learned_clauses++;
         stats_.learned_literals += learnt.size();
@@ -485,8 +556,7 @@ bool Solver::model_value(Var v) const {
 }
 
 std::size_t Solver::clause_bytes() const {
-  std::size_t bytes = clauses_.capacity() * sizeof(InternalClause);
-  for (const auto& c : clauses_) bytes += c.lits.capacity() * sizeof(Lit);
+  std::size_t bytes = arena_.capacity() * sizeof(std::uint32_t);
   for (const auto& w : watches_) bytes += w.capacity() * sizeof(Watcher);
   return bytes;
 }
@@ -502,10 +572,13 @@ void Solver::var_bump_activity(Var v) {
 
 void Solver::var_decay_activity() { var_inc_ /= options_.var_decay; }
 
-void Solver::claus_bump_activity(InternalClause& c) {
-  c.activity += clause_inc_;
-  if (c.activity > 1e20) {
-    for (const CRef cref : learnt_refs_) clauses_[cref].activity *= 1e-20;
+void Solver::claus_bump_activity(CRef c) {
+  const double activity = clause_activity(c) + clause_inc_;
+  set_clause_activity(c, activity);
+  if (activity > 1e20) {
+    for (const CRef cref : learnt_refs_) {
+      set_clause_activity(cref, clause_activity(cref) * 1e-20);
+    }
     clause_inc_ *= 1e-20;
   }
 }
@@ -580,13 +653,18 @@ std::uint64_t Solver::luby(std::uint64_t i) {
   return 1ull << seq;
 }
 
-void add_frame_args(telemetry::Span& span, std::uint64_t frame,
-                    const SolverStats& before, const SolverStats& after) {
-  span.arg("frame", frame);
+void add_solver_args(telemetry::Span& span, const SolverStats& before,
+                     const SolverStats& after) {
   span.arg("decisions", after.decisions - before.decisions);
   span.arg("propagations", after.propagations - before.propagations);
   span.arg("conflicts", after.conflicts - before.conflicts);
   span.arg("restarts", after.restarts - before.restarts);
+}
+
+void add_frame_args(telemetry::Span& span, std::uint64_t frame,
+                    const SolverStats& before, const SolverStats& after) {
+  span.arg("frame", frame);
+  add_solver_args(span, before, after);
 }
 
 }  // namespace trojanscout::sat

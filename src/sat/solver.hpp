@@ -60,9 +60,14 @@ struct SolverStats {
   std::uint64_t minimized_literals = 0;
 };
 
-/// Puts one engine frame's solver work on its trace span as args: `frame`
-/// plus the decisions/propagations/conflicts/restarts deltas between the
-/// two snapshots. BMC frames and PDR frontier levels both record this way.
+/// Puts solver work on a trace span as args: the decisions/propagations/
+/// conflicts/restarts deltas between the two snapshots. The engines' setup
+/// spans (`bmc:setup`, `pdr:reset`) record this way.
+void add_solver_args(telemetry::Span& span, const SolverStats& before,
+                     const SolverStats& after);
+
+/// add_solver_args preceded by a `frame` arg. BMC frames and PDR frontier
+/// levels record this way.
 void add_frame_args(telemetry::Span& span, std::uint64_t frame,
                     const SolverStats& before, const SolverStats& after);
 
@@ -92,12 +97,15 @@ class Solver {
 
   /// Adds a clause. Returns false if the formula became trivially UNSAT
   /// (empty clause after simplification against top-level assignments).
-  bool add_clause(Clause lits);
+  /// Simplifies in a reused member buffer: no allocation per clause once
+  /// the buffers and the arena have grown.
+  bool add_clause(const Clause& lits);
 
-  /// Convenience overloads.
-  bool add_clause(Lit a) { return add_clause(Clause{a}); }
-  bool add_clause(Lit a, Lit b) { return add_clause(Clause{a, b}); }
-  bool add_clause(Lit a, Lit b, Lit c) { return add_clause(Clause{a, b, c}); }
+  /// Convenience overloads; they fill a reused buffer, so the encoder's
+  /// per-gate clauses build no temporary vectors.
+  bool add_clause(Lit a);
+  bool add_clause(Lit a, Lit b);
+  bool add_clause(Lit a, Lit b, Lit c);
 
   /// Solves under the given assumptions within the budget.
   SolveResult solve(const std::vector<Lit>& assumptions = {},
@@ -120,33 +128,59 @@ class Solver {
   void set_proof_listener(ProofListener* listener) { proof_ = listener; }
   [[nodiscard]] ProofListener* proof_listener() const { return proof_; }
 
-  /// Approximate heap footprint of the clause database in bytes; the BMC
-  /// memory column uses RSS, this is for diagnostics.
+  /// Heap footprint of the clause database in bytes: the arena plus the
+  /// watch lists. The BMC memory column uses RSS; this is for diagnostics
+  /// and the BMC memory budget.
   [[nodiscard]] std::size_t clause_bytes() const;
 
-  /// Total clauses in the database (problem + learned, including deleted
-  /// slots awaiting compaction). The BMC per-frame telemetry samples this
-  /// after each frame's solve.
-  [[nodiscard]] std::size_t num_clauses() const { return clauses_.size(); }
+  /// Clauses ever attached (problem + learned, deleted ones included). The
+  /// BMC per-frame telemetry samples this after each frame's solve.
+  [[nodiscard]] std::size_t num_clauses() const { return attached_clauses_; }
 
  private:
   SolveResult solve_inner(const std::vector<Lit>& assumptions,
                           const Budget& budget);
 
+  // -- clause arena ---------------------------------------------------------
+  //
+  // Every clause lives in one contiguous word array, `arena_`:
+  //
+  //   word 0       size << 2 | deleted << 1 | learnt
+  //   words 1..2   activity (a double, copied in and out with memcpy)
+  //   words 3..    the literals, as Lit::index() values
+  //
+  // A CRef is the offset of a clause's header word. reduce_db() only marks
+  // clauses deleted; once deleted words exceed half the arena, compact()
+  // slides the live clauses down (keeping their order) and rewrites every
+  // watcher, reason and learnt ref, dropping watchers of deleted clauses.
   using CRef = std::uint32_t;
   static constexpr CRef kNullCRef = 0xFFFFFFFFu;
-
-  struct InternalClause {
-    std::vector<Lit> lits;
-    double activity = 0.0;
-    bool learnt = false;
-    bool deleted = false;
-  };
+  static constexpr std::uint32_t kHeaderWords = 3;
+  static constexpr std::uint32_t kLearntBit = 1;
+  static constexpr std::uint32_t kDeletedBit = 2;
 
   struct Watcher {
     CRef cref;
     Lit blocker;
   };
+
+  [[nodiscard]] std::uint32_t clause_size(CRef c) const {
+    return arena_[c] >> 2;
+  }
+  [[nodiscard]] bool clause_learnt(CRef c) const {
+    return (arena_[c] & kLearntBit) != 0;
+  }
+  [[nodiscard]] bool clause_deleted(CRef c) const {
+    return (arena_[c] & kDeletedBit) != 0;
+  }
+  [[nodiscard]] double clause_activity(CRef c) const;
+  void set_clause_activity(CRef c, double activity);
+  [[nodiscard]] Lit clause_lit(CRef c, std::uint32_t k) const {
+    return Lit::from_index(static_cast<int>(arena_[c + kHeaderWords + k]));
+  }
+  /// The clause's literals in arena order (one reused buffer), for the
+  /// proof listener's Clause-typed hooks.
+  const Clause& clause_copy(CRef c);
 
   // -- assignment / trail ---------------------------------------------------
   [[nodiscard]] LBool value(Var v) const { return assigns_[v]; }
@@ -161,15 +195,16 @@ class Solver {
   // -- learning -------------------------------------------------------------
   void analyze(CRef conflict, Clause& out_learnt, int& out_btlevel);
   bool literal_is_redundant(Lit p);
-  CRef attach_clause(InternalClause&& clause);
+  CRef attach_clause(const Clause& lits, bool learnt, double activity);
   void detach_clause(CRef cref);
   void reduce_db();
+  void compact();
 
   // -- heuristics -----------------------------------------------------------
   Lit pick_branch_lit();
   void var_bump_activity(Var v);
   void var_decay_activity();
-  void claus_bump_activity(InternalClause& c);
+  void claus_bump_activity(CRef c);
   void heap_insert(Var v);
   void heap_update(Var v);
   Var heap_pop();
@@ -183,7 +218,9 @@ class Solver {
   ProofListener* proof_ = nullptr;
   bool unsat_ = false;
 
-  std::vector<InternalClause> clauses_;
+  std::vector<std::uint32_t> arena_;
+  std::size_t wasted_words_ = 0;  // words of deleted clauses in arena_
+  std::size_t attached_clauses_ = 0;
   std::vector<CRef> learnt_refs_;
   std::vector<std::vector<Watcher>> watches_;  // indexed by literal index
 
@@ -203,6 +240,9 @@ class Solver {
 
   std::vector<std::uint8_t> seen_;  // analyze() scratch
   std::vector<Lit> minimize_scratch_;
+  Clause input_buf_;     // add_clause(Lit...) overloads
+  Clause simplify_buf_;  // add_clause's sorted, simplified copy
+  Clause proof_buf_;     // clause_copy()
   std::vector<bool> model_;
 };
 

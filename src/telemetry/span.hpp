@@ -16,7 +16,9 @@
 // its own (Span::arg), written on its "E" event next to span_id: the
 // engines put each frame's counter deltas on their `bmc:frame` /
 // `atpg:frame` / `pdr:frontier` spans, so the trace shows which frame got
-// hard and the span's B/E pair says how long it took.
+// hard and the span's B/E pair says how long it took. The work before the
+// first frame (`bmc:setup`, `atpg:random-sim`, `pdr:reset`) carries the
+// same counter args, so a run's span args sum to its counters.
 #pragma once
 
 #include <cstdint>

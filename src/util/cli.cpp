@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 
 namespace trojanscout::util {
@@ -44,6 +45,16 @@ double CliParser::get_double(const std::string& name, double fallback) const {
   const auto it = flags_.find(name);
   if (it == flags_.end() || it->second.empty()) return fallback;
   return std::strtod(it->second.c_str(), nullptr);
+}
+
+std::string CliParser::unknown_flag(
+    const std::vector<std::string>& known) const {
+  for (const auto& [name, value] : flags_) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      return name;
+    }
+  }
+  return "";
 }
 
 bool CliParser::get_bool(const std::string& name, bool fallback) const {

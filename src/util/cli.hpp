@@ -1,7 +1,8 @@
 // Minimal command-line flag parser for the example and benchmark binaries.
 //
 // Supports "--name=value", "--name value", and boolean "--name" forms.
-// Unknown flags are reported; positional arguments are collected in order.
+// Positional arguments are collected in order; unknown_flag() finds a flag
+// the caller did not declare.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +26,11 @@ class CliParser {
   [[nodiscard]] double get_double(const std::string& name,
                                   double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
+
+  /// The first flag (in name order) that is not in `known`, or "" when
+  /// every flag on the command line is known.
+  [[nodiscard]] std::string unknown_flag(
+      const std::vector<std::string>& known) const;
 
   [[nodiscard]] const std::vector<std::string>& positional() const {
     return positional_;

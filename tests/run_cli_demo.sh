@@ -75,4 +75,16 @@ CODE=$?
 set -e
 [ "$CODE" -eq 1 ] || { echo "expected prove UNKNOWN (1) without a budget, got $CODE"; exit 1; }
 grep -q UNKNOWN "$WORK/unknown.out" || { echo "prove without a proof did not say UNKNOWN"; exit 1; }
+
+# Flags are declared per subcommand: an undeclared one (a typo, or a flag
+# that was removed) is a usage error, not a run with defaults.
+set +e
+"$CLI" audit --design="$WORK/clean.v" --spec="$SPEC_DIR/mc8051_sp.spec" \
+  --frames=2 --flight-out="$WORK/flight.json" >"$WORK/unknown_flag.out" 2>&1
+CODE=$?
+set -e
+[ "$CODE" -eq 1 ] || { echo "expected unknown flag to exit 1, got $CODE"; exit 1; }
+grep -q "unknown flag --flight-out for audit" "$WORK/unknown_flag.out" \
+  || { echo "unknown flag not named in the error"; exit 1; }
+[ ! -e "$WORK/flight.json" ] || { echo "unknown flag still produced output"; exit 1; }
 echo "cli demo OK"

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
+#include "proof/drat.hpp"
 #include "sat/dimacs.hpp"
 #include "sat/solver.hpp"
 #include "util/rng.hpp"
@@ -222,6 +224,133 @@ TEST_P(SatAblationCross, AblatedSolversAgreeWithBruteForce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Features, SatAblationCross, ::testing::Values(0, 1, 2));
+
+// ---- search identity ---------------------------------------------------------
+//
+// The solver's search trajectory is part of the project's output: BMC
+// witnesses (and so report signatures) and DRAT certificates are whatever
+// the search finds first. These pins fix the exact decisions, propagations
+// and conflicts on seeded random 3-CNFs, so any change to the clause store
+// or the propagation loop that reorders the search fails here first. The
+// values were taken from the per-clause-vector solver that the clause
+// arena replaced; the arena reproduces them exactly.
+
+struct SearchPin {
+  std::uint64_t seed;
+  SolveResult result;
+  std::uint64_t decisions;
+  std::uint64_t propagations;
+  std::uint64_t conflicts;
+  std::uint64_t learned_literals;
+  std::uint64_t deleted_clauses;
+  std::size_t num_clauses;
+};
+
+/// Random 3-CNF; variables may repeat within a clause, so add_clause's
+/// duplicate and tautology handling runs too.
+void add_random_3cnf(Solver& solver, int num_vars, int num_clauses,
+                     util::Xoshiro256& rng) {
+  for (int v = 0; v < num_vars; ++v) solver.new_var();
+  for (int c = 0; c < num_clauses; ++c) {
+    solver.add_clause(
+        Lit(static_cast<Var>(rng.next_below(num_vars)), rng.next_bool()),
+        Lit(static_cast<Var>(rng.next_below(num_vars)), rng.next_bool()),
+        Lit(static_cast<Var>(rng.next_below(num_vars)), rng.next_bool()));
+  }
+}
+
+void expect_search(const SolverOptions& options,
+                   const std::vector<SearchPin>& pins) {
+  for (const SearchPin& pin : pins) {
+    util::Xoshiro256 rng(pin.seed);
+    Solver solver(options);
+    add_random_3cnf(solver, 150, 639, rng);  // 4.26 clauses per variable
+    const SolveResult result = solver.solve();
+    const SolverStats& s = solver.stats();
+    EXPECT_EQ(result, pin.result) << "seed " << pin.seed;
+    EXPECT_EQ(s.decisions, pin.decisions) << "seed " << pin.seed;
+    EXPECT_EQ(s.propagations, pin.propagations) << "seed " << pin.seed;
+    EXPECT_EQ(s.conflicts, pin.conflicts) << "seed " << pin.seed;
+    EXPECT_EQ(s.learned_literals, pin.learned_literals) << "seed " << pin.seed;
+    EXPECT_EQ(s.deleted_clauses, pin.deleted_clauses) << "seed " << pin.seed;
+    EXPECT_EQ(solver.num_clauses(), pin.num_clauses) << "seed " << pin.seed;
+  }
+}
+
+TEST(SatSearchIdentity, DefaultOptions) {
+  expect_search({}, {
+       {1, SolveResult::kSat, 201, 4308, 136, 1362, 0, 766},
+       {2, SolveResult::kUnsat, 1878, 50219, 1556, 13030, 0, 2184},
+       {3, SolveResult::kSat, 765, 20420, 590, 5624, 0, 1222},
+       {4, SolveResult::kSat, 310, 6619, 207, 1856, 0, 838}});
+}
+
+TEST(SatSearchIdentity, SmallLearnedCapacityReducesAndCompactsOften) {
+  SolverOptions options;
+  options.learned_capacity_start = 64;
+  expect_search(options, {
+       {1, SolveResult::kSat, 891, 23225, 689, 6997, 423, 1319},
+       {2, SolveResult::kUnsat, 2702, 71424, 2253, 19731, 1576, 2877},
+       {3, SolveResult::kSat, 709, 17990, 562, 5384, 261, 1194},
+       {4, SolveResult::kSat, 344, 7621, 236, 2197, 153, 867}});
+}
+
+TEST(SatSearchIdentity, LearningDisabled) {
+  SolverOptions options;
+  options.enable_learning = false;
+  expect_search(options, {
+       {1, SolveResult::kSat, 2087, 55486, 1656, 16106, 1610, 2286},
+       {2, SolveResult::kUnsat, 3756, 95869, 3018, 25961, 2964, 3645},
+       {3, SolveResult::kSat, 610, 15872, 484, 4416, 421, 1116},
+       {4, SolveResult::kSat, 327, 7750, 229, 2086, 193, 860}});
+}
+
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(SatSearchIdentity, IncrementalSolvesRelocateReasonsAcrossCompaction) {
+  // Solves under assumptions with units added between them, on a learned
+  // capacity small enough that reduce_db (and so arena compaction) runs
+  // mid-run while level-0 reasons and learnt clauses stay live.
+  SolverOptions options;
+  options.learned_capacity_start = 64;
+  Solver solver(options);
+  proof::ProofLog log;
+  solver.set_proof_listener(&log);
+  util::Xoshiro256 rng(2015);
+  constexpr int kVars = 180;
+  add_random_3cnf(solver, kVars, 680, rng);
+  std::string results;
+  for (int round = 0; round < 16; ++round) {
+    std::vector<Lit> assumptions;
+    for (int k = 0; k < 5; ++k) {
+      assumptions.emplace_back(static_cast<Var>(rng.next_below(kVars)),
+                               rng.next_bool());
+    }
+    const SolveResult r = solver.solve(assumptions);
+    results += r == SolveResult::kSat ? 'S' : 'U';
+    // A unit the last model satisfies (a random one after UNSAT), so
+    // level-0 facts accumulate between solves.
+    const Var v = static_cast<Var>(rng.next_below(kVars));
+    solver.add_clause(Lit(v, r == SolveResult::kSat ? !solver.model_value(v)
+                                                    : rng.next_bool()));
+  }
+  const SolverStats& s = solver.stats();
+  EXPECT_EQ(results, "USUUSSSUSUSUSUUU");
+  EXPECT_EQ(s.decisions, 1330u);
+  EXPECT_EQ(s.propagations, 36635u);
+  EXPECT_EQ(s.conflicts, 985u);
+  EXPECT_EQ(s.learned_literals, 10056u);
+  EXPECT_EQ(s.deleted_clauses, 953u);
+  EXPECT_EQ(solver.num_clauses(), 1660u);
+  EXPECT_EQ(fnv1a(log.drat()), 0x6b660bf400c2bb2cull);
+}
 
 TEST(Dimacs, RoundTrip) {
   CnfFormula formula;

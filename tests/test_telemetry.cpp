@@ -358,6 +358,20 @@ core::CheckResult traced_sp_obligation(core::EngineKind kind,
 
 const std::vector<std::uint64_t> kFrames0To7 = {0, 1, 2, 3, 4, 5, 6, 7};
 
+/// The frame spans plus the engine's one setup span account for every
+/// solver counter of the run.
+void expect_solver_sums(const FrameArgs& frames, const FrameArgs& setup,
+                        const sat::SolverStats& total) {
+  EXPECT_EQ(frames.sums.at("decisions") + setup.sums.at("decisions"),
+            total.decisions);
+  EXPECT_EQ(frames.sums.at("propagations") + setup.sums.at("propagations"),
+            total.propagations);
+  EXPECT_EQ(frames.sums.at("conflicts") + setup.sums.at("conflicts"),
+            total.conflicts);
+  EXPECT_EQ(frames.sums.at("restarts") + setup.sums.at("restarts"),
+            total.restarts);
+}
+
 TEST(FrameSpans, BmcFrameArgsSumToTheSolverCounters) {
   TraceRecorder recorder;
   const core::CheckResult result =
@@ -368,14 +382,14 @@ TEST(FrameSpans, BmcFrameArgsSumToTheSolverCounters) {
       {"frame", "decisions", "propagations", "conflicts", "restarts"});
   EXPECT_EQ(frames.spans, result.frames_completed);
   EXPECT_EQ(frames.frames, kFrames0To7);
-  const sat::SolverStats& sat = result.counters.sat;
-  EXPECT_EQ(frames.sums.at("decisions"), sat.decisions);
-  EXPECT_EQ(frames.sums.at("conflicts"), sat.conflicts);
-  EXPECT_EQ(frames.sums.at("restarts"), sat.restarts);
-  // One level-0 propagation falls outside the frame spans, so the frame
-  // sum is one short of the run total.
-  EXPECT_EQ(frames.sums.at("propagations"), 42882u);
-  EXPECT_EQ(sat.propagations, 42883u);
+  // The encoder's constant-true unit propagates once at level 0, before
+  // frame 0: the setup span carries it.
+  const FrameArgs setup = collect_frame_args(
+      recorder.events(), "bmc:setup",
+      {"decisions", "propagations", "conflicts", "restarts"});
+  EXPECT_EQ(setup.spans, 1u);
+  EXPECT_EQ(setup.sums.at("propagations"), 1u);
+  expect_solver_sums(frames, setup, result.counters.sat);
 }
 
 TEST(FrameSpans, AtpgFrameArgsSumToTheSearchCounters) {
@@ -388,12 +402,20 @@ TEST(FrameSpans, AtpgFrameArgsSumToTheSearchCounters) {
       {"frame", "decisions", "backtracks", "implications"});
   EXPECT_EQ(frames.spans, result.frames_completed);
   EXPECT_EQ(frames.frames, kFrames0To7);
-  EXPECT_EQ(frames.sums.at("decisions"), result.counters.atpg_decisions);
-  EXPECT_EQ(frames.sums.at("backtracks"), result.counters.atpg_backtracks);
   // The random-simulation phase implies values before the first frame
-  // span opens, so the frame sum falls short of the run total.
-  EXPECT_EQ(frames.sums.at("implications"), 69613u);
-  EXPECT_EQ(result.counters.atpg_implications, 70125u);
+  // span opens; its own span carries them.
+  const FrameArgs random = collect_frame_args(
+      recorder.events(), "atpg:random-sim",
+      {"decisions", "backtracks", "implications"});
+  EXPECT_EQ(random.spans, 1u);
+  EXPECT_GT(random.sums.at("implications"), 0u);
+  const core::EngineCounters& c = result.counters;
+  EXPECT_EQ(frames.sums.at("decisions") + random.sums.at("decisions"),
+            c.atpg_decisions);
+  EXPECT_EQ(frames.sums.at("backtracks") + random.sums.at("backtracks"),
+            c.atpg_backtracks);
+  EXPECT_EQ(frames.sums.at("implications") + random.sums.at("implications"),
+            c.atpg_implications);
 }
 
 TEST(FrameSpans, PdrFrontierArgsSumToTheSolverCounters) {
@@ -407,13 +429,14 @@ TEST(FrameSpans, PdrFrontierArgsSumToTheSolverCounters) {
   // One span per frontier level; this contract closes at level 1.
   EXPECT_EQ(frames.spans, result.counters.pdr_frames);
   EXPECT_EQ(frames.frames, std::vector<std::uint64_t>{1});
-  const sat::SolverStats& sat = result.counters.sat;
-  EXPECT_EQ(frames.sums.at("decisions"), sat.decisions);
-  EXPECT_EQ(frames.sums.at("conflicts"), sat.conflicts);
-  EXPECT_EQ(frames.sums.at("restarts"), sat.restarts);
-  // The frame-0 reset check solves before the first frontier span opens.
-  EXPECT_EQ(frames.sums.at("propagations"), 4912u);
-  EXPECT_EQ(sat.propagations, 5095u);
+  // The frame-0 reset check solves before the first frontier span opens;
+  // its own span carries that work.
+  const FrameArgs reset = collect_frame_args(
+      recorder.events(), "pdr:reset",
+      {"decisions", "propagations", "conflicts", "restarts"});
+  EXPECT_EQ(reset.spans, 1u);
+  EXPECT_GT(reset.sums.at("propagations"), 0u);
+  expect_solver_sums(frames, reset, result.counters.sat);
 }
 
 TEST(FrameSpans, NoRecorderHandsOutNoIdsAndRecordsNothing) {

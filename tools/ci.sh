@@ -372,6 +372,23 @@ if command -v python3 >/dev/null 2>&1; then
         "$src/bench/baselines/BENCH_${name}.json" \
         "$art/BENCH_${name}.json"
   done
+  echo "=== [release] perfbench smoke (solver API the benchmark compiles against) ==="
+  # perfbench/ builds the engine libraries from src/ against their public
+  # API; a short bmc-audit run proves it still compiles, runs every
+  # obligation, and gets every verdict right. A relative CARGO_TARGET_DIR
+  # resolves against the checkout root.
+  CARGO_TARGET_DIR="${prefix}-perfbench" python3 "$src/perfbench/run.py" \
+      --workload bmc-audit --seed 1 --seconds 5 --trace 0 \
+      >"$art/perfbench_smoke.log"
+  if ! tail -n 1 "$art/perfbench_smoke.log" | python3 -c '
+import json, sys
+result = json.loads(sys.stdin.read())
+sys.exit(0 if result.get("correct") is True and result.get("failed") == 0
+         else 1)'; then
+    echo "FAIL: perfbench smoke did not end in a correct, failure-free result"
+    exit 1
+  fi
+
   echo "=== [release] observability artifacts archived in $art ==="
 else
   echo "=== skipping observability leg (no python3) ==="

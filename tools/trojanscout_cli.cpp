@@ -240,8 +240,9 @@ int usage() {
          "  submit     --socket ENDPOINT --design ip.v --spec ip.spec\n"
          "               [--engine ENGINE] [--frames N] [--budget S]\n"
          "               [--no-scan] [--no-bypass] [--id NAME]\n"
-         "               [--connect-retries N] [--overload-retries N]\n"
-         "               [--signature-out FILE] [--quiet]\n"
+         "               [--connect-retries N] [--connect-delay-ms MS]\n"
+         "               [--overload-retries N] [--signature-out FILE]\n"
+         "               [--quiet]\n"
          "               send one audit job to a daemon or fleet\n"
          "  submit     --socket ENDPOINT --stats [--json]\n"
          "               query daemon/fleet stats (merged telemetry,\n"
@@ -251,6 +252,7 @@ int usage() {
          "               scrape merges every live worker's registry)\n"
          "  top        --socket ENDPOINT [--interval-ms MS]\n"
          "               [--once] [--polls N] [--json]\n"
+         "               [--connect-retries N] [--connect-delay-ms MS]\n"
          "               live dashboard: throughput sparklines, cache\n"
          "               hit rate, queue depth, per-worker rates\n"
          "\n"
@@ -267,7 +269,8 @@ int usage() {
          "             verdict wins (ties break bmc > atpg > pdr) and the\n"
          "             losers are cancelled\n"
          "\n"
-         "exit codes: 0 = clean/ok, 2 = Trojan found, 1 = usage/error\n";
+         "exit codes: 0 = clean/ok, 2 = Trojan found, 1 = usage/error\n"
+         "(a flag not listed for the subcommand is a usage error)\n";
   return 1;
 }
 
@@ -1579,6 +1582,65 @@ int cmd_gen(const util::CliParser& cli) {
   return 0;
 }
 
+/// A subcommand and every flag it reads, directly or through the shared
+/// helpers above (open_cache, open_l2, open_event_log, spawn_worker, ...).
+/// Any other flag is a usage error: a mistyped or retired flag must not
+/// run the command with defaults and look like success.
+struct Subcommand {
+  std::string name;
+  int (*run)(const util::CliParser&);
+  std::vector<std::string> flags;
+};
+
+const std::vector<Subcommand>& subcommands() {
+  static const std::vector<Subcommand> table = {
+      {"info", cmd_info, {"design"}},
+      {"check",
+       [](const util::CliParser& cli) { return cmd_check(cli, false); },
+       {"design", "spec", "register", "engine", "frames", "budget",
+        "minimize", "vcd"}},
+      {"prove",
+       [](const util::CliParser& cli) { return cmd_check(cli, true); },
+       {"design", "spec", "register", "frames", "budget", "minimize",
+        "vcd"}},
+      {"audit", cmd_audit,
+       {"design", "spec", "engine", "jobs", "fail-fast", "frames", "budget",
+        "no-scan", "no-bypass", "cache-dir", "cache", "cache-max-mb",
+        "signature-out", "trace-out", "metrics-out", "profile-out",
+        "progress", "stall-window"}},
+      {"gen", cmd_gen, {"family", "trojan", "out"}},
+      {"certify", cmd_certify,
+       {"design", "spec", "out", "jobs", "engine", "frames", "budget",
+        "no-scan", "no-bypass", "pretty", "cache-dir", "cache",
+        "cache-max-mb"}},
+      {"check-cert", cmd_check_cert, {"cert", "design", "spec"}},
+      {"fuzz", cmd_fuzz,
+       {"seed", "count", "design", "engine", "jobs", "frames-slack",
+        "frames-cap", "budget", "max-seq", "no-clean", "no-differential",
+        "cache-dir", "out", "no-timing", "signature-out", "min-rate",
+        "shrink", "inject-failure", "quiet"}},
+      {"serve", cmd_serve,
+       {"socket", "cache-dir", "cache", "cache-max-mb", "jobs", "l2-dir",
+        "l2-max-mb", "read-timeout", "port-file", "events-out",
+        "events-max-mb", "sample-interval-ms"}},
+      {"serve-fleet", cmd_serve_fleet,
+       {"socket", "workers", "spawn", "l2-dir", "l2-max-mb", "queue-cap",
+        "retry-after-ms", "worker-jobs", "run-dir", "port-file",
+        "health-interval", "worker-timeout", "read-timeout", "trace-out",
+        "events-out", "events-max-mb", "sample-interval-ms", "slo-ms",
+        "slo-obligation-ms"}},
+      {"submit", cmd_submit,
+       {"socket", "design", "spec", "engine", "frames", "budget", "no-scan",
+        "no-bypass", "id", "connect-retries", "connect-delay-ms",
+        "overload-retries", "signature-out", "quiet", "stats", "json",
+        "metrics", "out"}},
+      {"top", cmd_top,
+       {"socket", "interval-ms", "once", "polls", "json", "connect-retries",
+        "connect-delay-ms"}},
+  };
+  return table;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1590,22 +1652,20 @@ int main(int argc, char** argv) {
   }
   g_self_exe = argv[0];
   const util::CliParser cli(argc - 1, argv + 1);
-  try {
-    if (command == "info") return cmd_info(cli);
-    if (command == "check") return cmd_check(cli, /*prove=*/false);
-    if (command == "audit") return cmd_audit(cli);
-    if (command == "prove") return cmd_check(cli, /*prove=*/true);
-    if (command == "gen") return cmd_gen(cli);
-    if (command == "fuzz") return cmd_fuzz(cli);
-    if (command == "certify") return cmd_certify(cli);
-    if (command == "check-cert") return cmd_check_cert(cli);
-    if (command == "serve") return cmd_serve(cli);
-    if (command == "serve-fleet") return cmd_serve_fleet(cli);
-    if (command == "submit") return cmd_submit(cli);
-    if (command == "top") return cmd_top(cli);
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 1;
+  for (const Subcommand& sub : subcommands()) {
+    if (command != sub.name) continue;
+    const std::string unknown = cli.unknown_flag(sub.flags);
+    if (!unknown.empty()) {
+      std::cerr << "error: unknown flag --" << unknown << " for " << command
+                << "\n";
+      return 1;
+    }
+    try {
+      return sub.run(cli);
+    } catch (const std::exception& e) {
+      std::cerr << "error: " << e.what() << "\n";
+      return 1;
+    }
   }
   return usage();
 }
