@@ -121,7 +121,9 @@ Solver::CRef Solver::attach_clause(const Clause& lits, bool learnt,
                    (learnt ? kLearntBit : 0));
   arena_.resize(arena_.size() + kHeaderWords - 1);
   set_clause_activity(cref, activity);
-  for (const Lit p : lits) arena_.push_back(static_cast<std::uint32_t>(p.index()));
+  for (const Lit p : lits) {
+    arena_.push_back(static_cast<std::uint32_t>(p.index()));
+  }
   watches_[(~lits[0]).index()].push_back(Watcher{cref, lits[1]});
   watches_[(~lits[1]).index()].push_back(Watcher{cref, lits[0]});
   attached_clauses_++;
@@ -374,7 +376,9 @@ void Solver::compact() {
   for (auto& ws : watches_) {
     std::size_t j = 0;
     for (const Watcher& w : ws) {
-      if (!clause_deleted(w.cref)) ws[j++] = Watcher{relocated(w.cref), w.blocker};
+      if (!clause_deleted(w.cref)) {
+        ws[j++] = Watcher{relocated(w.cref), w.blocker};
+      }
     }
     ws.resize(j);
   }

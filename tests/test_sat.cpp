@@ -225,7 +225,7 @@ TEST_P(SatAblationCross, AblatedSolversAgreeWithBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Features, SatAblationCross, ::testing::Values(0, 1, 2));
 
-// ---- search identity ---------------------------------------------------------
+// ---- search identity ------------------------------------------------------
 //
 // The solver's search trajectory is part of the project's output: BMC
 // witnesses (and so report signatures) and DRAT certificates are whatever
