@@ -12,6 +12,7 @@
 int main(int argc, char** argv) {
   using namespace trojanscout;
   const util::CliParser cli(argc, argv);
+  if (!bench::check_flags(cli, bench::kConfigFlags, {"trigger"})) return 1;
   bench::BenchConfig config = bench::BenchConfig::from_cli(cli);
   if (!cli.has("budget")) config.budget_seconds = 30;  // default for this bench
   const unsigned trigger = static_cast<unsigned>(cli.get_int("trigger", 10));

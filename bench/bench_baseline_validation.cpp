@@ -15,7 +15,7 @@
 int main(int argc, char** argv) {
   using namespace trojanscout;
   const util::CliParser cli(argc, argv);
-  (void)cli;
+  if (!cli.check_flags({})) return 1;
 
   std::cout << "=== Baseline validation: naive vs DeTrust-hardened Trojans "
                "===\n\n";

@@ -126,6 +126,18 @@ std::string BenchWriter::to_json() const {
   return out.str();
 }
 
+bool check_flags(const util::CliParser& cli, unsigned shared,
+                 std::vector<std::string> own) {
+  if ((shared & kConfigFlags) != 0) {
+    own.insert(own.end(), {"budget", "depth-budget", "risc-trigger",
+                           "max-frames", "repeats"});
+  }
+  if ((shared & kSinkFlags) != 0) {
+    own.insert(own.end(), {"bench-out", "metrics-out"});
+  }
+  return cli.check_flags(own);
+}
+
 bool BenchWriter::flush() const {
   if (!enabled()) return true;
   std::ofstream out(path_);

@@ -2,13 +2,18 @@
 //
 // Each bench binary regenerates one table or figure of the paper (see
 // DESIGN.md's per-experiment index) and prints it with util::Table in the
-// same row layout as the publication. All binaries accept:
+// same row layout as the publication. Binaries that read a BenchConfig
+// accept:
 //   --budget=<seconds>        wall clock per engine run (paper: 100)
 //   --depth-budget=<seconds>  wall clock for max-unroll-depth measurements
 //   --risc-trigger=<count>    RISC Trojan trigger count (default 25)
+//   --max-frames=<count>      unroll cap per engine run (default 4096)
 //   --repeats=<count>         timing repeats per case for --bench-out
+// and binaries with a MetricsSink accept:
 //   --bench-out=<file>        standardized BENCH_<name>.json history artifact
 //   --metrics-out=<file>      JSON-lines run report (per-run records)
+// Every main() passes its flags to check_flags() first: any other flag is a
+// usage error (exit 1), never a run with defaults.
 #pragma once
 
 #include <cstdio>
@@ -203,5 +208,18 @@ class MetricsSink {
   telemetry::RunReport report_;
   BenchWriter bench_;
 };
+
+/// The flag sets the shared helpers read, for check_flags(). A bench that
+/// uses neither calls util::CliParser::check_flags directly.
+enum SharedFlags : unsigned {
+  kConfigFlags = 1u << 0,  // BenchConfig::from_cli
+  kSinkFlags = 1u << 1,    // MetricsSink and its BenchWriter
+};
+
+/// Usage check for a bench main(): true when every flag on the command line
+/// is in `own` or in one of the `shared` sets; otherwise prints "error:
+/// unknown flag --NAME" and returns false (the caller exits 1).
+[[nodiscard]] bool check_flags(const util::CliParser& cli, unsigned shared,
+                               std::vector<std::string> own);
 
 }  // namespace trojanscout::bench

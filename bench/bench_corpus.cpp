@@ -49,6 +49,10 @@ RunOutcome run_once(const fuzz::CorpusOptions& corpus_options,
 
 int run(int argc, const char* const* argv) {
   const util::CliParser cli(argc, argv);
+  if (!bench::check_flags(cli, bench::kConfigFlags | bench::kSinkFlags,
+                          {"seed", "count", "jobs"})) {
+    return 1;
+  }
   const bench::BenchConfig config = bench::BenchConfig::from_cli(cli);
   bench::MetricsSink sink(cli, "corpus");
 

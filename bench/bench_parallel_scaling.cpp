@@ -37,6 +37,10 @@ core::DetectorOptions workload_options(const util::CliParser& cli) {
 
 int run(int argc, const char* const* argv) {
   const util::CliParser cli(argc, argv);
+  if (!bench::check_flags(cli, bench::kSinkFlags,
+                          {"only", "frames", "budget"})) {
+    return 1;
+  }
   // --only=<substring> restricts the workloads (CI quick mode).
   const std::string only = cli.get_string("only", "");
   bench::MetricsSink sink(cli, "parallel_scaling");

@@ -77,6 +77,10 @@ std::string verdict_cell(const core::CheckResult& r, double seconds) {
 
 int run(int argc, const char* const* argv) {
   const util::CliParser cli(argc, argv);
+  if (!bench::check_flags(cli, bench::kConfigFlags | bench::kSinkFlags,
+                          {"only", "frames"})) {
+    return 1;
+  }
   const bench::BenchConfig config = bench::BenchConfig::from_cli(cli);
   const std::string only = cli.get_string("only", "");
   const std::size_t frames =

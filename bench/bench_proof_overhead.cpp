@@ -60,6 +60,7 @@ std::string percent(double baseline, double measured) {
 
 int run(int argc, const char* const* argv) {
   const util::CliParser cli(argc, argv);
+  if (!cli.check_flags({"risc-trigger", "frames", "budget"})) return 1;
   designs::CatalogOptions catalog_options;
   catalog_options.risc_trigger_count =
       static_cast<unsigned>(cli.get_int("risc-trigger", 4));

@@ -69,6 +69,11 @@ struct PhaseStats {
 
 int run(int argc, const char* const* argv) {
   const util::CliParser cli(argc, argv);
+  if (!bench::check_flags(cli, bench::kSinkFlags,
+                          {"clients", "per-client", "repeats", "spec",
+                           "frames", "budget"})) {
+    return 1;
+  }
   bench::MetricsSink sink(cli, "service_throughput");
   const std::size_t clients =
       static_cast<std::size_t>(cli.get_int("clients", 8));
@@ -206,70 +211,12 @@ int run(int argc, const char* const* argv) {
     }
   }
 
-  // Continuous-monitoring overhead: the same warm fleet against one daemon
-  // with the background sampler disabled and one sampling at an aggressive
-  // 25 ms (40x the default rate). The sampler snapshots the registry off
-  // the request path and publishes lock-free, so warm latency must not
-  // move: the gate allows 2% plus a 100 us absolute guard for sub-ms
-  // medians on a noisy CI box.
-  double sampler_off_mean = 0;
-  double sampler_on_mean = 0;
-  {
-    const std::string cache_dir = dir + "/cache-sampler";
-    cache::VerdictCache::Options cache_options;
-    cache_options.dir = cache_dir;
-    cache_options.mode = cache::CacheMode::kReadWrite;
-    cache::VerdictCache verdict_cache(cache_options);
-    for (const bool sampled : {false, true}) {
-      service::AuditDaemon::Options options;
-      options.endpoint = "tcp:127.0.0.1:0";
-      options.cache = &verdict_cache;
-      options.sample_interval_ms = sampled ? 25.0 : 0.0;
-      service::AuditDaemon daemon(options);
-      daemon.start();
-      const std::string endpoint = daemon.bound_endpoint();
-      if (!sampled) {
-        // Prime the shared cache once so both legs are pure warm serving.
-        service::AuditJob cold = job;
-        cold.id = "sampler-prime";
-        service::Client client(endpoint);
-        const service::SubmitResult result =
-            service::submit_audit(client, cold);
-        if (!result.ok) {
-          std::cerr << "sampler prime submit failed: " << result.error
-                    << "\n";
-          failed = true;
-        }
-      }
-      const PhaseStats stats = run_phase(endpoint, /*mixed=*/false);
-      daemon.stop();
-      failed = failed || stats.failures > 0;
-      const double m = mean(stats.latencies);
-      const char* name = sampled ? "sampler_on" : "sampler_off";
-      (sampled ? sampler_on_mean : sampler_off_mean) = m;
-      sink.bench().add_sample(std::string(name) + "/mean", m);
-      table.add_row({name, std::to_string(stats.submits), "-",
-                     std::to_string(quantile(stats.latencies, 0.5)),
-                     std::to_string(quantile(stats.latencies, 0.99)),
-                     std::to_string(m)});
-    }
-  }
-
   std::cout << "=== Audit service throughput (" << clients << " clients x "
             << per_client << " submits, TCP loopback) ===\n\n";
   table.print(std::cout);
   std::cout << "\nWarm latency is pure service overhead (connect, framing, "
                "in-flight dedupe, cache lookups, merge, streaming); the "
-               "mixed phase holds one cold client against the warm fleet. "
-               "The sampler_* rows serve the same warm load with the 25 ms "
-               "background sampler off and on.\n";
-  const double sampler_budget = sampler_off_mean * 1.02 + 100e-6;
-  if (sampler_on_mean > sampler_budget) {
-    std::cerr << "FAIL: sampler overhead " << sampler_on_mean << "s mean vs "
-              << sampler_off_mean << "s without (budget " << sampler_budget
-              << "s): the sampler is leaking onto the request path\n";
-    failed = true;
-  }
+               "mixed phase holds one cold client against the warm fleet.\n";
 
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);

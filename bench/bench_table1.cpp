@@ -87,6 +87,10 @@ EngineRow run_engine_row(const BenchConfig& config, EngineKind kind,
 
 int run(int argc, const char* const* argv) {
   const util::CliParser cli(argc, argv);
+  if (!bench::check_flags(cli, bench::kConfigFlags | bench::kSinkFlags,
+                          {"only"})) {
+    return 1;
+  }
   BenchConfig config = BenchConfig::from_cli(cli);
   // --only=<substring> restricts the benchmark rows (and skips the clean
   // rows unless they match) — CI uses it to smoke-test one small core.

@@ -11,6 +11,9 @@
 int main(int argc, char** argv) {
   using namespace trojanscout;
   const util::CliParser cli(argc, argv);
+  if (!bench::check_flags(cli, bench::kConfigFlags | bench::kSinkFlags, {})) {
+    return 1;
+  }
   const bench::BenchConfig config = bench::BenchConfig::from_cli(cli);
   bench::MetricsSink sink(cli, "table2");
 

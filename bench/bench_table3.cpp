@@ -88,6 +88,10 @@ CheckResult bypass_depth_check(const BenchConfig& config, EngineKind kind,
 
 int run(int argc, const char* const* argv) {
   const util::CliParser cli(argc, argv);
+  if (!bench::check_flags(cli, bench::kConfigFlags | bench::kSinkFlags,
+                          {"only"})) {
+    return 1;
+  }
   BenchConfig config = BenchConfig::from_cli(cli);
   if (!cli.has("budget")) config.budget_seconds = 60;  // default for this bench
   // --only=<substring> restricts the benchmark rows — CI uses it to

@@ -10,6 +10,7 @@
 int main(int argc, char** argv) {
   using namespace trojanscout;
   const util::CliParser cli(argc, argv);
+  if (!bench::check_flags(cli, bench::kConfigFlags, {})) return 1;
   bench::BenchConfig config = bench::BenchConfig::from_cli(cli);
   if (!cli.has("budget")) config.budget_seconds = 30;  // default for this bench
 

@@ -53,6 +53,7 @@ void audit(const char* label, const designs::Design& design, double budget,
 
 int main(int argc, char** argv) {
   const util::CliParser cli(argc, argv);
+  if (!cli.check_flags({"budget"})) return 1;
   const double budget = cli.get_double("budget", 60.0);
 
   std::cout << "Key-register contract: Reset=1 -> 0, Load=1 -> key input, "

@@ -13,10 +13,14 @@
 #include "core/parallel_detector.hpp"
 #include "netlist/wordops.hpp"
 #include "sim/simulator.hpp"
+#include "util/cli.hpp"
 
 using namespace trojanscout;
 
-int main() {
+int main(int argc, char** argv) {
+  // No flags: anything on the command line is a usage error.
+  if (!util::CliParser(argc, argv).check_flags({})) return 1;
+
   // --- 1. The vendor's IP: a bus bridge with an 8-bit config register. ----
   designs::Design ip;
   ip.name = "bus-bridge";

@@ -19,6 +19,7 @@ using namespace trojanscout;
 
 int main(int argc, char** argv) {
   const util::CliParser cli(argc, argv);
+  if (!cli.check_flags({"trigger"})) return 1;
   const unsigned trigger =
       static_cast<unsigned>(cli.get_int("trigger", 25));
 

@@ -44,6 +44,11 @@ using namespace trojanscout;
 
 int main(int argc, char** argv) {
   const util::CliParser cli(argc, argv);
+  if (!cli.check_flags({"budget", "jobs", "fail-fast", "trace-out",
+                        "metrics-out", "profile-out", "progress",
+                        "stall-window"})) {
+    return 1;
+  }
   const double budget = cli.get_double("budget", 30.0);
   const std::size_t jobs = static_cast<std::size_t>(cli.get_int("jobs", 0));
   const bool fail_fast = cli.get_bool("fail-fast", false);

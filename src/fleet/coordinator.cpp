@@ -14,7 +14,6 @@
 #include "cache/verdict_codec.hpp"
 #include "designs/design.hpp"
 #include "proof/json.hpp"
-#include "service/exposition.hpp"
 #include "service/telemetry_wire.hpp"
 #include "telemetry/events.hpp"
 #include "telemetry/profile.hpp"
@@ -74,8 +73,7 @@ FleetCoordinator::FleetCoordinator(Options options)
                               /*backlog=*/64},
           [this](const std::string& line, const LineServer::Sender& send) {
             return handle_line(line, send);
-          }),
-      series_(options_.series_capacity) {}
+          }) {}
 
 FleetCoordinator::~FleetCoordinator() { stop(); }
 
@@ -109,11 +107,6 @@ void FleetCoordinator::start() {
   // The stats reply merges per-worker registry snapshots next to the
   // coordinator's own — which therefore must be live.
   telemetry::Registry::global().set_enabled(true);
-  if (options_.sample_interval_ms > 0) {
-    sampler_.emplace(series_, telemetry::Registry::global(),
-                     options_.sample_interval_ms);
-    sampler_->start();
-  }
   for (const auto& worker : workers_) {
     telemetry::emit_event("worker_up", {{"endpoint", worker->name}});
   }
@@ -127,7 +120,6 @@ void FleetCoordinator::start() {
 void FleetCoordinator::wait() { server_.wait(); }
 
 void FleetCoordinator::stop() {
-  if (sampler_.has_value()) sampler_->stop();
   server_.stop();
   {
     std::lock_guard<std::mutex> lock(health_mutex_);
@@ -218,34 +210,11 @@ LineServer::Disposition FleetCoordinator::handle_line(
             .count();
     j.set("uptime_s", uptime_s);
     j.set("uptime_ms", static_cast<std::uint64_t>(uptime_s * 1000.0));
-    {
-      Json sampler = Json::object();
-      sampler.set("enabled", sampler_.has_value());
-      sampler.set("interval_ms",
-                  sampler_.has_value() ? sampler_->interval_ms() : 0.0);
-      sampler.set("samples", series_.samples());
-      sampler.set("last_age_ms",
-                  sampler_.has_value()
-                      ? static_cast<std::uint64_t>(
-                            sampler_->last_sample_age_us() / 1000)
-                      : 0);
-      j.set("sampler", std::move(sampler));
-    }
     j.set("jobs_completed", jobs_completed_.load(std::memory_order_relaxed));
     j.set("retry_after_sent",
           retry_after_sent_.load(std::memory_order_relaxed));
     j.set("reshards", reshards_.load(std::memory_order_relaxed));
     j.set("bad_requests", server_.bad_requests());
-    {
-      Json slo = Json::object();
-      slo.set("job_ms", options_.slo_job_ms);
-      slo.set("obligation_ms", options_.slo_obligation_ms);
-      slo.set("job_breaches",
-              slo_job_breaches_.load(std::memory_order_relaxed));
-      slo.set("obligation_breaches",
-              slo_obligation_breaches_.load(std::memory_order_relaxed));
-      j.set("slo", std::move(slo));
-    }
     j.set("workers", std::move(workers));
     j.set("telemetry", service::snapshot_to_json(merged));
     j.set("coordinator_telemetry",
@@ -254,13 +223,6 @@ LineServer::Disposition FleetCoordinator::handle_line(
       std::lock_guard<std::mutex> lock(tail_mutex_);
       j.set("slowest", tail_to_json(tail_, 10));
     }
-    j.set("series", service::series_to_json(series_));
-    if (!send(j.dump())) return LineServer::Disposition::kClose;
-  } else if (request.op == service::Request::Op::kMetrics) {
-    Json j = Json::object();
-    j.set("type", "metrics");
-    j.set("content_type", "text/plain; version=0.0.4");
-    j.set("body", metrics_body());
     if (!send(j.dump())) return LineServer::Disposition::kClose;
   } else if (request.op == service::Request::Op::kShutdown) {
     Json j = Json::object();
@@ -274,93 +236,8 @@ LineServer::Disposition FleetCoordinator::handle_line(
   return LineServer::Disposition::kKeep;
 }
 
-std::string FleetCoordinator::metrics_body() {
-  struct WorkerView {
-    std::string name;
-    service::Endpoint endpoint;
-    bool alive = false;
-    std::size_t outstanding = 0;
-  };
-  std::vector<WorkerView> views;
-  {
-    std::lock_guard<std::mutex> lock(ring_mutex_);
-    views.reserve(workers_.size());
-    for (const auto& worker : workers_) {
-      views.push_back({worker->name, worker->endpoint, worker->alive,
-                       worker->outstanding});
-    }
-  }
-  // Start from the coordinator's own snapshot and merge every responding
-  // worker's in (exact: counters summed, histogram buckets added), so the
-  // rendered families describe the fleet's combined work.
-  telemetry::Registry::Snapshot merged =
-      telemetry::Registry::global().snapshot();
-  std::size_t live = 0;
-  std::size_t responding = 0;
-  std::size_t queue_depth = 0;
-  std::vector<service::GaugeSample> gauges;
-  for (const WorkerView& view : views) {
-    if (view.alive) live++;
-    queue_depth += view.outstanding;
-    std::optional<Json> stats =
-        view.alive ? fetch_worker_stats(view.endpoint) : std::nullopt;
-    if (stats.has_value()) {
-      responding++;
-      const Json* snapshot_json = stats->find("telemetry");
-      telemetry::Registry::Snapshot snapshot;
-      if (snapshot_json != nullptr &&
-          service::snapshot_from_json(*snapshot_json, snapshot, nullptr)) {
-        service::merge_snapshot(merged, snapshot);
-      }
-    }
-    const std::vector<std::pair<std::string, std::string>> label = {
-        {"worker", view.name}};
-    gauges.push_back(
-        {"trojanscout_worker_up", view.alive ? 1.0 : 0.0, label});
-    gauges.push_back({"trojanscout_worker_responding",
-                      stats.has_value() ? 1.0 : 0.0, label});
-    gauges.push_back({"trojanscout_worker_outstanding",
-                      static_cast<double>(view.outstanding), label});
-  }
-  const double uptime_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    started_at_)
-          .count();
-  gauges.push_back({"trojanscout_up", 1.0, {}});
-  gauges.push_back({"trojanscout_uptime_seconds", uptime_s, {}});
-  gauges.push_back(
-      {"trojanscout_queue_depth", static_cast<double>(queue_depth), {}});
-  gauges.push_back(
-      {"trojanscout_workers_total", static_cast<double>(views.size()), {}});
-  gauges.push_back(
-      {"trojanscout_workers_live", static_cast<double>(live), {}});
-  gauges.push_back({"trojanscout_workers_responding",
-                    static_cast<double>(responding),
-                    {}});
-  if (sampler_.has_value()) {
-    gauges.push_back({"trojanscout_sampler_last_sample_age_seconds",
-                      static_cast<double>(sampler_->last_sample_age_us()) /
-                          1e6,
-                      {}});
-  }
-  const std::vector<service::ExtraCounter> extra = {
-      {"fleet.jobs_completed",
-       jobs_completed_.load(std::memory_order_relaxed)},
-      {"fleet.retry_after_sent",
-       retry_after_sent_.load(std::memory_order_relaxed)},
-      {"fleet.reshards_done", reshards_.load(std::memory_order_relaxed)},
-      {"fleet.bad_requests", server_.bad_requests()},
-      {"fleet.slo_job_breaches",
-       slo_job_breaches_.load(std::memory_order_relaxed)},
-      {"fleet.slo_obligation_breaches",
-       slo_obligation_breaches_.load(std::memory_order_relaxed)},
-  };
-  return service::to_prometheus_text(merged, extra, gauges);
-}
-
 void FleetCoordinator::handle_audit(const LineServer::Sender& send,
                                     const AuditJob& job) {
-  const auto job_started = std::chrono::steady_clock::now();
   designs::Design design;
   const core::DetectorOptions detector_options = job.detector_options();
   try {
@@ -593,30 +470,6 @@ void FleetCoordinator::handle_audit(const LineServer::Sender& send,
   }
 
   jobs_completed_.fetch_add(1, std::memory_order_relaxed);
-  // Registry twins for the windowed series (`top`'s throughput view).
-  TS_COUNTER_ADD("fleet.jobs", 1);
-  TS_COUNTER_ADD("fleet.obligations", requested.size());
-  // SLO accounting: total/breach counter pairs make the burn rate a
-  // per-window division in the sampled series; every breach is also a
-  // structured event for offline correlation.
-  const double job_elapsed_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - job_started)
-          .count();
-  if (options_.slo_job_ms > 0) {
-    TS_COUNTER_ADD("slo.job_total", 1);
-    if (job_elapsed_ms > options_.slo_job_ms) {
-      slo_job_breaches_.fetch_add(1, std::memory_order_relaxed);
-      TS_COUNTER_ADD("slo.job_breach", 1);
-      telemetry::emit_event("slo_breach",
-                            {{"job", job.id},
-                             {"scope", "job"},
-                             {"elapsed_ms", job_elapsed_ms},
-                             {"slo_ms", options_.slo_job_ms}});
-      TS_LOG_WARN("fleet: job %s breached its %gms SLO (%.1fms)",
-                  job.id.c_str(), options_.slo_job_ms, job_elapsed_ms);
-    }
-  }
   if (!client_alive) return;
   Json j = Json::object();
   j.set("type", "report");
@@ -662,10 +515,6 @@ FleetCoordinator::GroupStatus FleetCoordinator::dispatch_group(
       shard.parent_spans.push_back(trace->wrapper_ids[index]);
     }
   }
-  // Per-obligation SLO latencies are measured from here: dispatch send to
-  // each obligation line back — the whole path the submitter waits on
-  // (worker queueing included), not just the engine run.
-  const auto dispatch_started = std::chrono::steady_clock::now();
   // Clock handshake, leg 1: our recorder clock just before the request
   // goes out.
   const std::uint64_t t_send = recorder_ != nullptr ? recorder_->now_us() : 0;
@@ -751,28 +600,6 @@ FleetCoordinator::GroupStatus FleetCoordinator::dispatch_group(
                         ? source->as_string()
                         : "computed";
       slot.ready = true;
-      if (options_.slo_obligation_ms > 0) {
-        const double elapsed_ms =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - dispatch_started)
-                .count();
-        TS_COUNTER_ADD("slo.obligation_total", 1);
-        if (elapsed_ms > options_.slo_obligation_ms) {
-          slo_obligation_breaches_.fetch_add(1, std::memory_order_relaxed);
-          TS_COUNTER_ADD("slo.obligation_breach", 1);
-          const Json* property = j.find("property");
-          telemetry::emit_event(
-              "slo_breach",
-              {{"job", base.id},
-               {"scope", "obligation"},
-               {"property", property != nullptr && property->is_string()
-                                ? property->as_string()
-                                : ""},
-               {"worker", worker.name},
-               {"elapsed_ms", elapsed_ms},
-               {"slo_ms", options_.slo_obligation_ms}});
-        }
-      }
       continue;
     }
     if (kind == "report") {

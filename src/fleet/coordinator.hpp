@@ -51,18 +51,6 @@
 //   * structured events — worker up/down/evicted/rejoined, re-shard
 //     batches, and retry-after refusals go to the process-global
 //     telemetry::EventLog when one is installed (`--events-out`).
-//
-// Continuous monitoring (PR 9):
-//   * a background telemetry::Sampler folds Registry snapshots into a
-//     bounded time-series ring (per-window counter rates and histogram
-//     tail quantiles); the stats reply ships the windows and `top`
-//     renders them live;
-//   * the `metrics` verb answers Prometheus text exposition of the whole
-//     fleet — every responding worker's snapshot exactly merged into the
-//     coordinator's own, plus labelled per-worker liveness gauges;
-//   * latency objectives (`--slo-ms`, `--slo-obligation-ms`) count
-//     total/breach pairs (burn rate falls out of the windowed series)
-//     and emit {"type":"slo_breach"} records to the event log.
 #pragma once
 
 #include <atomic>
@@ -82,7 +70,6 @@
 #include "service/protocol.hpp"
 #include "service/transport.hpp"
 #include "telemetry/span.hpp"
-#include "telemetry/timeseries.hpp"
 
 namespace trojanscout::proof {
 class Json;
@@ -116,18 +103,6 @@ class FleetCoordinator {
     /// Path for the stitched cross-process Chrome trace; empty disables
     /// tracing (jobs are dispatched without trace ids).
     std::string trace_out;
-    /// Continuous-monitoring sampler cadence; <= 0 disables the sampler
-    /// (stats/metrics still answer, but without windowed series).
-    double sample_interval_ms = 1000.0;
-    /// Ring capacity of the sampled time series (windows kept).
-    std::size_t series_capacity = 120;
-    /// Per-job latency objective in milliseconds; a job whose wall time
-    /// (request line to report line) exceeds it counts an slo breach and
-    /// emits an {"type":"slo_breach"} event record. 0 disables.
-    double slo_job_ms = 0;
-    /// Per-obligation latency objective: dispatch send to the worker's
-    /// obligation line back. 0 disables.
-    double slo_obligation_ms = 0;
   };
 
   explicit FleetCoordinator(Options options);
@@ -206,11 +181,6 @@ class FleetCoordinator {
       const std::string& line, const service::LineServer::Sender& send);
   void handle_audit(const service::LineServer::Sender& send,
                     const service::AuditJob& job);
-  /// Prometheus text exposition of the whole fleet: the coordinator's own
-  /// registry snapshot exactly merged with every responding worker's
-  /// (stats fan-out), plus fleet counters and labelled per-worker gauges.
-  [[nodiscard]] std::string metrics_body();
-
   /// Sends `group` (original enumeration indices) to `worker` as a subset
   /// audit and fills `slots` from the streamed wire verdicts. With `trace`
   /// non-null, also runs the clock handshake, stitches the worker's span
@@ -252,12 +222,7 @@ class FleetCoordinator {
   std::atomic<std::uint64_t> jobs_completed_{0};
   std::atomic<std::uint64_t> retry_after_sent_{0};
   std::atomic<std::uint64_t> reshards_{0};
-  std::atomic<std::uint64_t> slo_job_breaches_{0};
-  std::atomic<std::uint64_t> slo_obligation_breaches_{0};
   std::chrono::steady_clock::time_point started_at_{};
-
-  telemetry::TimeSeries series_;
-  std::optional<telemetry::Sampler> sampler_;
 
   /// Stitched-trace recorder (only with Options::trace_out). Coordinator
   /// spans are recorded through explicit begin/end calls — the recorder is

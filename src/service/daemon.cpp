@@ -12,7 +12,6 @@
 #include "cache/verdict_codec.hpp"
 #include "designs/design.hpp"
 #include "proof/json.hpp"
-#include "service/exposition.hpp"
 #include "service/telemetry_wire.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/span.hpp"
@@ -100,8 +99,7 @@ AuditDaemon::AuditDaemon(Options options)
           }),
       tier_(cache::TieredCache::Options{
           options_.cache, options_.l2, options_.claim_wait_seconds,
-          options_.claim_stale_seconds, /*poll_interval_seconds=*/0.002}),
-      series_(options_.series_capacity) {}
+          options_.claim_stale_seconds, /*poll_interval_seconds=*/0.002}) {}
 
 AuditDaemon::~AuditDaemon() { stop(); }
 
@@ -118,11 +116,6 @@ void AuditDaemon::start() {
   // env var: the stats reply ships the full registry snapshot, and the fleet
   // coordinator merges it per worker.
   telemetry::Registry::global().set_enabled(true);
-  if (options_.sample_interval_ms > 0) {
-    sampler_.emplace(series_, telemetry::Registry::global(),
-                     options_.sample_interval_ms);
-    sampler_->start();
-  }
   TS_LOG_INFO("service: listening on %s (%zu engine workers)",
               bound_endpoint().c_str(), pool_->thread_count());
 }
@@ -130,7 +123,6 @@ void AuditDaemon::start() {
 void AuditDaemon::wait() { server_.wait(); }
 
 void AuditDaemon::stop() {
-  if (sampler_.has_value()) sampler_->stop();
   server_.stop();
   pool_.reset();
 }
@@ -161,21 +153,8 @@ LineServer::Disposition AuditDaemon::handle_line(
             .count();
     j.set("uptime_s", uptime_s);
     // Monotonic milliseconds: what dashboards should subtract, immune to
-    // wall-clock steps (the double uptime_s predates PR 9 and stays).
+    // wall-clock steps.
     j.set("uptime_ms", static_cast<std::uint64_t>(uptime_s * 1000.0));
-    {
-      Json sampler = Json::object();
-      sampler.set("enabled", sampler_.has_value());
-      sampler.set("interval_ms",
-                  sampler_.has_value() ? sampler_->interval_ms() : 0.0);
-      sampler.set("samples", series_.samples());
-      sampler.set("last_age_ms",
-                  sampler_.has_value()
-                      ? static_cast<std::uint64_t>(
-                            sampler_->last_sample_age_us() / 1000)
-                      : 0);
-      j.set("sampler", std::move(sampler));
-    }
     j.set("jobs_completed", jobs_completed_.load(std::memory_order_relaxed));
     j.set("shared_obligations", shared_hits_.load(std::memory_order_relaxed));
     j.set("bad_requests", server_.bad_requests());
@@ -207,16 +186,6 @@ LineServer::Disposition AuditDaemon::handle_line(
     // buckets added) instead of hand-picking a few atomics.
     j.set("telemetry",
           snapshot_to_json(telemetry::Registry::global().snapshot()));
-    // The windowed series rides along so pollers (`top`, check_metrics)
-    // get rates and tail quantiles without differencing snapshots
-    // themselves.
-    j.set("series", series_to_json(series_));
-    if (!send(j.dump())) return LineServer::Disposition::kClose;
-  } else if (request.op == Request::Op::kMetrics) {
-    Json j = Json::object();
-    j.set("type", "metrics");
-    j.set("content_type", "text/plain; version=0.0.4");
-    j.set("body", metrics_body());
     if (!send(j.dump())) return LineServer::Disposition::kClose;
   } else if (request.op == Request::Op::kShutdown) {
     Json j = Json::object();
@@ -228,57 +197,6 @@ LineServer::Disposition AuditDaemon::handle_line(
     handle_audit(send, request.job);
   }
   return LineServer::Disposition::kKeep;
-}
-
-std::string AuditDaemon::metrics_body() {
-  std::vector<ExtraCounter> extra = {
-      {"service.jobs_completed",
-       jobs_completed_.load(std::memory_order_relaxed)},
-      {"service.shared_obligations",
-       shared_hits_.load(std::memory_order_relaxed)},
-      {"service.bad_requests", server_.bad_requests()},
-  };
-  std::size_t inflight = 0;
-  {
-    std::lock_guard<std::mutex> lock(inflight_mutex_);
-    inflight = inflight_.size();
-  }
-  const double uptime_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    started_at_)
-          .count();
-  std::vector<GaugeSample> gauges = {
-      {"trojanscout_uptime_seconds", uptime_s, {}},
-      {"trojanscout_up", 1.0, {}},
-      {"trojanscout_engine_workers",
-       static_cast<double>(pool_ != nullptr ? pool_->thread_count() : 0),
-       {}},
-      {"trojanscout_queue_depth",
-       static_cast<double>(pool_ != nullptr ? pool_->in_flight() : 0),
-       {}},
-      {"trojanscout_inflight_obligations", static_cast<double>(inflight), {}},
-  };
-  if (sampler_.has_value()) {
-    gauges.push_back({"trojanscout_sampler_last_sample_age_seconds",
-                      static_cast<double>(sampler_->last_sample_age_us()) /
-                          1e6,
-                      {}});
-  }
-  if (options_.cache != nullptr) {
-    gauges.push_back({"trojanscout_cache_entries",
-                      static_cast<double>(options_.cache->entry_count()),
-                      {}});
-    gauges.push_back({"trojanscout_cache_bytes",
-                      static_cast<double>(options_.cache->total_bytes()),
-                      {}});
-  }
-  if (options_.l2 != nullptr) {
-    gauges.push_back({"trojanscout_l2_entries",
-                      static_cast<double>(options_.l2->entry_count()),
-                      {}});
-  }
-  return to_prometheus_text(telemetry::Registry::global().snapshot(), extra,
-                            gauges);
 }
 
 std::shared_ptr<AuditDaemon::Execution> AuditDaemon::claim(
@@ -546,10 +464,6 @@ void AuditDaemon::handle_audit(const LineServer::Sender& send,
   }
 
   jobs_completed_.fetch_add(1, std::memory_order_relaxed);
-  // Registry twins of the reply-level atomics: these are what the sampler
-  // folds into windowed rates (`top`'s throughput sparkline).
-  TS_COUNTER_ADD("service.jobs", 1);
-  TS_COUNTER_ADD("service.obligations", indices.size());
   if (!client_alive) return;
   Json j = Json::object();
   j.set("type", "report");

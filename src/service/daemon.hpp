@@ -46,7 +46,6 @@
 #include "core/detector.hpp"
 #include "service/line_server.hpp"
 #include "service/protocol.hpp"
-#include "telemetry/timeseries.hpp"
 #include "util/thread_pool.hpp"
 
 namespace trojanscout::service {
@@ -68,11 +67,6 @@ class AuditDaemon {
     /// Claim-protocol tunables (see cache::TieredCache::Options).
     double claim_wait_seconds = 300.0;
     double claim_stale_seconds = 300.0;
-    /// Continuous-monitoring sampler cadence; <= 0 disables the sampler
-    /// (stats/metrics still answer, but without windowed series).
-    double sample_interval_ms = 1000.0;
-    /// Ring capacity of the sampled time series (windows kept).
-    std::size_t series_capacity = 120;
   };
 
   explicit AuditDaemon(Options options);
@@ -120,10 +114,6 @@ class AuditDaemon {
   LineServer::Disposition handle_line(const std::string& line,
                                       const LineServer::Sender& send);
   void handle_audit(const LineServer::Sender& send, const AuditJob& job);
-  /// Prometheus text exposition of this worker's state — the registry
-  /// snapshot plus service-level counters and gauges (queue depth,
-  /// in-flight obligations, worker liveness, cache size).
-  [[nodiscard]] std::string metrics_body();
 
   /// Returns the execution registered under `key`, creating it (and
   /// setting `created`) when this caller is the one that must compute it.
@@ -137,9 +127,6 @@ class AuditDaemon {
   std::atomic<std::uint64_t> jobs_completed_{0};
   std::atomic<std::uint64_t> shared_hits_{0};
   std::chrono::steady_clock::time_point started_at_{};
-
-  telemetry::TimeSeries series_;
-  std::optional<telemetry::Sampler> sampler_;
 
   std::unique_ptr<util::ThreadPool> pool_;
 

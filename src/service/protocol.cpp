@@ -58,8 +58,6 @@ bool parse_request(const std::string& line, Request& out, std::string* error) {
     request.op = Request::Op::kPing;
   } else if (op->as_string() == "stats") {
     request.op = Request::Op::kStats;
-  } else if (op->as_string() == "metrics") {
-    request.op = Request::Op::kMetrics;
   } else if (op->as_string() == "shutdown") {
     request.op = Request::Op::kShutdown;
   } else if (op->as_string() == "audit") {

@@ -8,7 +8,6 @@
 //    "subset":[0,3,7],"wire_verdicts":true}     (last two: fleet-internal)
 //   {"op":"ping"}        liveness probe
 //   {"op":"stats"}       cache + service counters
-//   {"op":"metrics"}     Prometheus text exposition (see below)
 //   {"op":"shutdown"}    finish in-flight jobs, then exit the accept loop
 //
 // Responses — streamed back on the same connection, one object per line,
@@ -22,10 +21,6 @@
 //    "summary":...,"signature":...,"cache_hits":N,"shared":N,"computed":N}
 //   {"type":"retry-after","id":...,"retry_after_ms":N}   (fleet overload)
 //   {"type":"pong"} / {"type":"stats",...} / {"type":"bye"}
-//   {"type":"metrics","content_type":"text/plain; version=0.0.4",
-//    "body":"<exposition>"}   (service/exposition.hpp renders the body;
-//                              the fleet coordinator answers with worker
-//                              snapshots merged into its own)
 //   {"type":"error","id":...,"code":...,"message":...}
 //
 // "source" says where the verdict came from: the verdict cache (either
@@ -102,7 +97,7 @@ struct AuditJob {
 designs::Design load_job_design(const AuditJob& job);
 
 struct Request {
-  enum class Op { kAudit, kPing, kStats, kMetrics, kShutdown };
+  enum class Op { kAudit, kPing, kStats, kShutdown };
   Op op = Op::kPing;
   AuditJob job;  // kAudit only
 };

@@ -132,39 +132,6 @@ void merge_snapshot(telemetry::Registry::Snapshot& into,
   }
 }
 
-proof::Json series_to_json(const telemetry::TimeSeries& series) {
-  proof::Json out = proof::Json::array();
-  const auto windows = series.windows();
-  if (windows == nullptr) return out;
-  for (const auto& w : *windows) {
-    proof::Json counters = proof::Json::object();
-    for (const auto& c : w.counters) {
-      proof::Json entry = proof::Json::object();
-      entry.set("delta", proof::Json(c.delta));
-      entry.set("rate_per_s", proof::Json(c.rate_per_s));
-      counters.set(c.name, std::move(entry));
-    }
-    proof::Json histograms = proof::Json::object();
-    for (const auto& h : w.histograms) {
-      proof::Json entry = proof::Json::object();
-      entry.set("count", proof::Json(h.count));
-      entry.set("sum_s", proof::Json(h.sum_seconds));
-      entry.set("p50_s", proof::Json(h.p50_seconds));
-      entry.set("p90_s", proof::Json(h.p90_seconds));
-      entry.set("p99_s", proof::Json(h.p99_seconds));
-      histograms.set(h.name, std::move(entry));
-    }
-    proof::Json row = proof::Json::object();
-    row.set("seq", proof::Json(w.seq));
-    row.set("t_ms", proof::Json(w.t_ms));
-    row.set("span_s", proof::Json(w.span_seconds));
-    row.set("counters", std::move(counters));
-    row.set("histograms", std::move(histograms));
-    out.push_back(std::move(row));
-  }
-  return out;
-}
-
 proof::Json trace_events_to_json(
     const std::vector<telemetry::TraceEvent>& events) {
   proof::Json out = proof::Json::array();

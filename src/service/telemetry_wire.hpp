@@ -20,7 +20,6 @@
 #include "proof/json.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/span.hpp"
-#include "telemetry/timeseries.hpp"
 
 namespace trojanscout::service {
 
@@ -41,13 +40,6 @@ bool snapshot_from_json(const proof::Json& json,
 /// merging N worker snapshots equals one snapshot of all their work.
 void merge_snapshot(telemetry::Registry::Snapshot& into,
                     const telemetry::Registry::Snapshot& from);
-
-/// Sampled windows → array of {"seq","t_ms","span_s","counters":{name:
-/// {"delta","rate_per_s"},…},"histograms":{name:{"count","sum_s","p50_s",
-/// "p90_s","p99_s"},…}}, oldest first. This is the "series" block the
-/// stats reply carries and `top` turns into sparklines; rendering walks
-/// one published immutable vector, so it never blocks the sampler.
-proof::Json series_to_json(const telemetry::TimeSeries& series);
 
 /// Span records → compact array of [ph, name, span_id, parent_id, tid,
 /// ts_us] rows (ph 1 = begin, 0 = end; end rows carry parent_id 0). An

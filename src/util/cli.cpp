@@ -1,6 +1,7 @@
 #include "util/cli.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 
 namespace trojanscout::util {
@@ -55,6 +56,13 @@ std::string CliParser::unknown_flag(
     }
   }
   return "";
+}
+
+bool CliParser::check_flags(const std::vector<std::string>& known) const {
+  const std::string unknown = unknown_flag(known);
+  if (unknown.empty()) return true;
+  std::fprintf(stderr, "error: unknown flag --%s\n", unknown.c_str());
+  return false;
 }
 
 bool CliParser::get_bool(const std::string& name, bool fallback) const {

@@ -2,7 +2,8 @@
 //
 // Supports "--name=value", "--name value", and boolean "--name" forms.
 // Positional arguments are collected in order; unknown_flag() finds a flag
-// the caller did not declare.
+// the caller did not declare, and check_flags() turns that into the usage
+// error a main() returns on.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +32,11 @@ class CliParser {
   /// every flag on the command line is known.
   [[nodiscard]] std::string unknown_flag(
       const std::vector<std::string>& known) const;
+
+  /// False, after printing "error: unknown flag --NAME" to stderr, when a
+  /// flag outside `known` is on the command line: a mistyped or retired
+  /// flag must not run the program with defaults and look like success.
+  [[nodiscard]] bool check_flags(const std::vector<std::string>& known) const;
 
   [[nodiscard]] const std::vector<std::string>& positional() const {
     return positional_;

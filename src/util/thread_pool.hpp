@@ -63,12 +63,6 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t thread_count() const { return threads_.size(); }
 
-  /// Tasks submitted but not yet finished (queued or executing) — the
-  /// pool-depth gauge the service's `metrics` exposition reports.
-  [[nodiscard]] std::size_t in_flight() const {
-    return in_flight_.load(std::memory_order_relaxed);
-  }
-
   /// std::thread::hardware_concurrency with a floor of 1.
   static std::size_t default_thread_count();
 

@@ -87,4 +87,33 @@ set -e
 grep -q "unknown flag --flight-out for audit" "$WORK/unknown_flag.out" \
   || { echo "unknown flag not named in the error"; exit 1; }
 [ ! -e "$WORK/flight.json" ] || { echo "unknown flag still produced output"; exit 1; }
+
+# The retired monitoring surface fails closed the same way, before any
+# socket is bound or dialled.
+retired() {
+  SUB="$1"
+  FLAG="$2"
+  shift 2
+  set +e
+  "$CLI" "$SUB" "$@" >"$WORK/retired.out" 2>&1
+  CODE=$?
+  set -e
+  [ "$CODE" -eq 1 ] || { echo "$SUB --$FLAG: expected exit 1, got $CODE"; exit 1; }
+  grep -q "unknown flag --$FLAG for $SUB" "$WORK/retired.out" \
+    || { echo "$SUB: retired flag --$FLAG not named in the error"; exit 1; }
+}
+retired serve sample-interval-ms --socket="$WORK/serve.sock" --sample-interval-ms=5
+retired serve-fleet slo-ms --socket="$WORK/fleet.sock" --spawn=1 --slo-ms=1
+retired submit metrics --socket="$WORK/submit.sock" --metrics
+for SOCK in serve.sock fleet.sock submit.sock; do
+  [ ! -e "$WORK/$SOCK" ] || { echo "retired flag still bound $SOCK"; exit 1; }
+done
+set +e
+"$CLI" top --socket="$WORK/top.sock" >"$WORK/top.out" 2>&1
+CODE=$?
+set -e
+[ "$CODE" -ne 0 ] || { echo "retired top subcommand exited 0"; exit 1; }
+grep -q "^usage: trojanscout_cli" "$WORK/top.out" \
+  || { echo "retired top subcommand did not print usage"; exit 1; }
+[ ! -e "$WORK/top.sock" ] || { echo "retired top subcommand bound a socket"; exit 1; }
 echo "cli demo OK"

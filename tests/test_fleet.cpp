@@ -36,7 +36,6 @@
 #include "proof/json.hpp"
 #include "service/client.hpp"
 #include "service/daemon.hpp"
-#include "service/exposition.hpp"
 #include "service/protocol.hpp"
 #include "service/telemetry_wire.hpp"
 #include "telemetry/events.hpp"
@@ -653,7 +652,7 @@ TEST(FleetCoordinator, StatsReplyMergesWorkerTelemetryExactly) {
       << error;
 }
 
-TEST(FleetCoordinator, MetricsScrapeAggregatesWorkerRegistries) {
+TEST(FleetCoordinator, StatsReplyCountsJobsAndWorkerLiveness) {
   FleetFixture fx;
   auto workers = fx.spawn_workers(2);
   FleetCoordinator coordinator(fx.coordinator_options(workers));
@@ -662,8 +661,7 @@ TEST(FleetCoordinator, MetricsScrapeAggregatesWorkerRegistries) {
   const AuditJob job = fx.job();
   SubmitResult result;
   proof::Json stats;
-  proof::Json metrics;
-  run_leg("submit then stats + metrics", [&] {
+  run_leg("submit then stats", [&] {
     {
       Client client(coordinator.bound_endpoint());
       result = submit_audit(client, job);
@@ -671,37 +669,28 @@ TEST(FleetCoordinator, MetricsScrapeAggregatesWorkerRegistries) {
     Client client(coordinator.bound_endpoint());
     client.send_line(service::control_request_line("stats"));
     ASSERT_TRUE(client.read_response(stats));
-    client.send_line(service::control_request_line("metrics"));
-    ASSERT_TRUE(client.read_response(metrics));
   });
   coordinator.stop();
   for (auto& worker : workers) worker->daemon->stop();
   ASSERT_TRUE(result.ok) << result.error;
 
-  ASSERT_EQ(metrics.find("type")->as_string(), "metrics");
-  EXPECT_EQ(metrics.find("content_type")->as_string(),
-            "text/plain; version=0.0.4");
-  service::ParsedExposition parsed;
-  std::string error;
-  ASSERT_TRUE(service::parse_prometheus_text(
-      metrics.find("body")->as_string(), parsed, &error))
-      << error;
+  // Coordinator-level counters.
+  EXPECT_EQ(stats.find("jobs_completed")->as_int(), 1);
+  EXPECT_EQ(stats.find("bad_requests")->as_int(), 0);
+  ASSERT_NE(stats.find("uptime_ms"), nullptr);
 
-  // Coordinator-level counters and fleet-shape gauges.
-  EXPECT_EQ(parsed.counters.at("trojanscout_fleet_jobs_completed_total"), 1u);
-  EXPECT_EQ(parsed.counters.at("trojanscout_fleet_bad_requests_total"), 0u);
-  EXPECT_EQ(parsed.gauges.at("trojanscout_up"), 1.0);
-  EXPECT_EQ(parsed.gauges.at("trojanscout_workers_total"), 2.0);
-  EXPECT_EQ(parsed.gauges.at("trojanscout_workers_live"), 2.0);
-  EXPECT_EQ(parsed.gauges.at("trojanscout_workers_responding"), 2.0);
-  // The labelled per-worker liveness family parses (first sample kept).
-  EXPECT_EQ(parsed.gauges.at("trojanscout_worker_up"), 1.0);
+  // Fleet shape: both workers alive and answering the fan-out.
+  const proof::Json* worker_rows = stats.find("workers");
+  ASSERT_NE(worker_rows, nullptr);
+  ASSERT_EQ(worker_rows->items().size(), 2u);
+  for (const proof::Json& row : worker_rows->items()) {
+    EXPECT_TRUE(row.find("alive")->as_bool());
+    EXPECT_TRUE(row.find("responding")->as_bool());
+  }
 
-  // The exposition renders the same worker-merge the stats reply carries
-  // as "telemetry". Registry counters are monotonic and worker pool tasks
-  // can still be retiring between the two requests, so the later scrape
-  // must be >= the earlier merge, never below it.
+  // The merged worker registry shows the job's engine runs.
   telemetry::Registry::Snapshot merged;
+  std::string error;
   ASSERT_NE(stats.find("telemetry"), nullptr);
   ASSERT_TRUE(
       service::snapshot_from_json(*stats.find("telemetry"), merged, &error))
@@ -710,19 +699,10 @@ TEST(FleetCoordinator, MetricsScrapeAggregatesWorkerRegistries) {
   for (const auto& counter : merged.counters) {
     if (counter.name != "engine.runs") continue;
     EXPECT_GT(counter.value, 0u);
-    EXPECT_GE(parsed.counters.at("trojanscout_engine_runs_total"),
-              counter.value);
     checked_engine_runs = true;
   }
   EXPECT_TRUE(checked_engine_runs)
       << "the audit job must have run engines on the workers";
-  // Every merged histogram surfaces as a well-formed _seconds family.
-  for (const auto& hist : merged.histograms) {
-    const std::string family =
-        "trojanscout_" + service::prometheus_name(hist.name) + "_seconds";
-    ASSERT_TRUE(parsed.histograms.count(family) > 0) << family;
-    EXPECT_GE(parsed.histograms.at(family).count, hist.count) << family;
-  }
 }
 
 TEST(FleetCoordinator, StatsFanOutMarksUnresponsiveWorkerAndSumsPartially) {
@@ -794,76 +774,6 @@ TEST(FleetCoordinator, StatsFanOutMarksUnresponsiveWorkerAndSumsPartially) {
     EXPECT_EQ(merged.histograms[i].buckets, expected.histograms[i].buckets)
         << merged.histograms[i].name;
   }
-}
-
-TEST(FleetCoordinator, SloBreachesTickCountersAndEmitEvents) {
-  FleetFixture fx;
-  auto workers = fx.spawn_workers(2);
-  telemetry::EventLog events(fx.dir + "/slo_events.jsonl");
-  ASSERT_TRUE(events.ok());
-  telemetry::EventLog::set_global(&events);
-  FleetCoordinator::Options options = fx.coordinator_options(workers);
-  // 1 ms budgets: any real engine run breaches both scopes.
-  options.slo_job_ms = 1;
-  options.slo_obligation_ms = 1;
-  FleetCoordinator coordinator(options);
-  coordinator.start();
-
-  SubmitResult result;
-  proof::Json reply;
-  run_leg("submit under an impossible SLO", [&] {
-    {
-      Client client(coordinator.bound_endpoint());
-      result = submit_audit(client, fx.job());
-    }
-    Client client(coordinator.bound_endpoint());
-    client.send_line(service::control_request_line("stats"));
-    ASSERT_TRUE(client.read_response(reply));
-  });
-  coordinator.stop();
-  for (auto& worker : workers) worker->daemon->stop();
-  telemetry::EventLog::set_global(nullptr);
-  ASSERT_TRUE(result.ok) << result.error;
-
-  const proof::Json* slo = reply.find("slo");
-  ASSERT_NE(slo, nullptr);
-  EXPECT_EQ(slo->find("job_ms")->as_double(), 1.0);
-  EXPECT_EQ(slo->find("obligation_ms")->as_double(), 1.0);
-  const auto job_breaches =
-      static_cast<std::uint64_t>(slo->find("job_breaches")->as_int());
-  const auto obligation_breaches =
-      static_cast<std::uint64_t>(slo->find("obligation_breaches")->as_int());
-  EXPECT_EQ(job_breaches, 1u);
-  EXPECT_GE(obligation_breaches, 1u)
-      << "a 1ms obligation budget cannot be met by a real engine run";
-
-  // Every breach is also an events-v1 record with enough context to find
-  // the offender: scope, job, elapsed vs budget, worker for obligations.
-  std::istringstream in(slurp(events.path()));
-  std::string line;
-  std::uint64_t job_events = 0;
-  std::uint64_t obligation_events = 0;
-  while (std::getline(in, line)) {
-    proof::Json record;
-    std::string error;
-    ASSERT_TRUE(proof::Json::parse(line, record, &error)) << error;
-    if (record.find("type")->as_string() != "slo_breach") continue;
-    EXPECT_EQ(record.find("job")->as_string(), "fleet-job");
-    ASSERT_NE(record.find("elapsed_ms"), nullptr);
-    EXPECT_GT(record.find("elapsed_ms")->as_double(), 1.0);
-    EXPECT_EQ(record.find("slo_ms")->as_double(), 1.0);
-    const std::string& scope = record.find("scope")->as_string();
-    if (scope == "job") {
-      job_events++;
-    } else {
-      EXPECT_EQ(scope, "obligation");
-      ASSERT_NE(record.find("worker"), nullptr);
-      ASSERT_NE(record.find("property"), nullptr);
-      obligation_events++;
-    }
-  }
-  EXPECT_EQ(job_events, job_breaches);
-  EXPECT_EQ(obligation_events, obligation_breaches);
 }
 
 }  // namespace

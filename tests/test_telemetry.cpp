@@ -28,7 +28,6 @@
 #include "telemetry/run_report.hpp"
 #include "telemetry/span.hpp"
 #include "telemetry/timer.hpp"
-#include "telemetry/timeseries.hpp"
 
 namespace trojanscout::telemetry {
 namespace {
@@ -661,117 +660,6 @@ TEST(TelemetrySink, RegistrySnapshotRecord) {
   // Histogram durations are timing-flagged: stripped without timing.
   const std::string bare = report.records()[0].to_json(false);
   EXPECT_EQ(bare.find("sum_seconds"), std::string::npos) << bare;
-}
-
-// ---- continuous-monitoring time series -----------------------------------
-
-TEST(TimeSeries, FirstRecordIsBaselineOnly) {
-  Registry registry;
-  registry.set_enabled(true);
-  registry.add(registry.counter("ticks"), 5);
-
-  TimeSeries series(8);
-  series.record(registry.snapshot(), /*t_ms=*/1000, /*steady_us=*/0);
-  EXPECT_EQ(series.samples(), 1u);
-  // The first sample only establishes the delta baseline: pre-existing
-  // totals must not surface as a bogus first window.
-  const auto windows = series.windows();
-  EXPECT_TRUE(windows == nullptr || windows->empty());
-  EXPECT_EQ(series.last_sample_ms(), 1000u);
-}
-
-TEST(TimeSeries, WindowsCarryDeltasRatesAndTailQuantiles) {
-  Registry registry;
-  registry.set_enabled(true);
-  const MetricId ticks = registry.counter("ticks");
-  const MetricId solve = registry.histogram("solve");
-
-  TimeSeries series(8);
-  series.record(registry.snapshot(), 1000, 0);  // baseline
-
-  registry.add(ticks, 10);
-  for (int i = 0; i < 100; ++i) registry.record_seconds(solve, 0.001);
-  series.record(registry.snapshot(), 3000, 2'000'000);  // 2 s later
-
-  const auto windows = series.windows();
-  ASSERT_NE(windows, nullptr);
-  ASSERT_EQ(windows->size(), 1u);
-  const TimeSeries::Window& w = windows->front();
-  EXPECT_EQ(w.seq, 0u);
-  EXPECT_EQ(w.t_ms, 3000u);
-  EXPECT_NEAR(w.span_seconds, 2.0, 1e-9);
-
-  ASSERT_EQ(w.counters.size(), 1u);
-  EXPECT_EQ(w.counters[0].name, "ticks");
-  EXPECT_EQ(w.counters[0].delta, 10u);
-  EXPECT_NEAR(w.counters[0].rate_per_s, 5.0, 1e-9);
-
-  ASSERT_EQ(w.histograms.size(), 1u);
-  EXPECT_EQ(w.histograms[0].name, "solve");
-  EXPECT_EQ(w.histograms[0].count, 100u);
-  EXPECT_NEAR(w.histograms[0].sum_seconds, 0.1, 1e-9);
-  // All samples sit in the [512 µs, 1024 µs) log2 bucket, so every
-  // quantile estimate lands inside that bucket and they are ordered.
-  for (const double q : {w.histograms[0].p50_seconds,
-                         w.histograms[0].p90_seconds,
-                         w.histograms[0].p99_seconds}) {
-    EXPECT_GE(q, 512e-6);
-    EXPECT_LE(q, 1024e-6);
-  }
-  EXPECT_LE(w.histograms[0].p50_seconds, w.histograms[0].p90_seconds);
-  EXPECT_LE(w.histograms[0].p90_seconds, w.histograms[0].p99_seconds);
-}
-
-TEST(TimeSeries, RingKeepsNewestWindowsAndSkipsIdleCounters) {
-  Registry registry;
-  registry.set_enabled(true);
-  const MetricId ticks = registry.counter("ticks");
-  registry.add(registry.counter("idle"), 7);  // moves only pre-baseline
-
-  TimeSeries series(3);
-  series.record(registry.snapshot(), 0, 0);
-  for (std::uint64_t i = 1; i <= 5; ++i) {
-    registry.add(ticks, i);
-    series.record(registry.snapshot(), i * 1000, i * 1'000'000);
-  }
-
-  const auto windows = series.windows();
-  ASSERT_NE(windows, nullptr);
-  ASSERT_EQ(windows->size(), 3u) << "capacity must bound the ring";
-  for (std::size_t i = 0; i < windows->size(); ++i) {
-    const TimeSeries::Window& w = (*windows)[i];
-    EXPECT_EQ(w.seq, i + 2) << "oldest windows must be dropped";
-    // "idle" never moved after the baseline: it must not appear.
-    ASSERT_EQ(w.counters.size(), 1u);
-    EXPECT_EQ(w.counters[0].name, "ticks");
-    EXPECT_EQ(w.counters[0].delta, i + 3);
-    EXPECT_TRUE(w.histograms.empty());
-  }
-  EXPECT_EQ(series.samples(), 6u);
-  EXPECT_EQ(series.last_sample_ms(), 5000u);
-  EXPECT_EQ(series.last_sample_steady_us(), 5'000'000u);
-}
-
-TEST(TimeSeries, SamplerFeedsWindowsInTheBackground) {
-  Registry registry;
-  registry.set_enabled(true);
-  const MetricId ticks = registry.counter("ticks");
-
-  TimeSeries series(32);
-  Sampler sampler(series, registry, /*interval_ms=*/5.0);
-  sampler.start();
-  for (int i = 0; i < 40 && series.samples() < 4; ++i) {
-    registry.add(ticks);
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  sampler.stop();
-  EXPECT_GE(series.samples(), 4u);
-  const auto windows = series.windows();
-  ASSERT_NE(windows, nullptr);
-  EXPECT_FALSE(windows->empty());
-  // stop() is idempotent and the age readout stays sane after it.
-  sampler.stop();
-  EXPECT_GT(sampler.last_sample_age_us(), 0u);
 }
 
 TEST(EventLog, SizeCapRotatesWithFreshHeaderAndSeq) {

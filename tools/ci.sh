@@ -34,6 +34,14 @@ run_config() {
   fi
   echo "=== [$name] ctest ==="
   (cd "$dir" && ctest --output-on-failure -j "$jobs")
+  if [ "$name" = "release" ]; then
+    # Repeat leg for the daemon lane: the service and fleet tests race
+    # sockets, pools and the health thread, so a once-in-N interleaving
+    # bug shows up here rather than as a flaky failure later.
+    echo "=== [$name] ctest daemon lane, repeated until failure (20x) ==="
+    (cd "$dir" && ctest -L daemon --repeat until-fail:20 \
+        --output-on-failure -j "$jobs")
+  fi
 }
 
 run_config release -DCMAKE_BUILD_TYPE=RelWithDebInfo
@@ -251,13 +259,10 @@ if command -v python3 >/dev/null 2>&1; then
   # must merge to the exact direct-audit signature; a warm resubmit must
   # be answered entirely from the worker caches.
   ep_file="$art/fleet.endpoint"
-  # 1 ms SLO budgets are unmeetable by design: the smoke must observe the
-  # deadline tracker emitting slo_breach events, not a quiet fleet.
   "$rel/tools/trojanscout_cli" serve-fleet --socket=tcp:127.0.0.1:0 \
       --spawn=2 --l2-dir="$art/fleet-l2" --run-dir="$art/fleet-run" \
       --trace-out="$art/fleet_trace.json" \
       --events-out="$art/fleet_events.jsonl" --events-max-mb=64 \
-      --sample-interval-ms=100 --slo-ms=1 --slo-obligation-ms=1 \
       --port-file="$ep_file" >"$art/fleet.log" 2>&1 &
   fleet_pid=$!
   # The coordinator picks an ephemeral port, so the endpoint string has to
@@ -278,10 +283,6 @@ if command -v python3 >/dev/null 2>&1; then
     echo "FAIL: fleet submit expected exit 2 (trojan found), got $status"
     exit 1
   fi
-  # First Prometheus scrape, between the cold and warm submits; the second
-  # scrape below must show every cumulative family at >= this value.
-  "$rel/tools/trojanscout_cli" submit --socket="$fleet_ep" --metrics \
-      --out="$art/fleet_metrics_1.txt"
   status=0
   "$rel/tools/trojanscout_cli" submit --socket="$fleet_ep" \
       --overload-retries=3 \
@@ -301,35 +302,17 @@ if command -v python3 >/dev/null 2>&1; then
     echo "FAIL: warm fleet submit performed engine runs (expected all-cache)"
     exit 1
   fi
-  # Second scrape after the warm submit: cumulative counters must not have
-  # gone backwards between two scrapes of the same live coordinator.
-  "$rel/tools/trojanscout_cli" submit --socket="$fleet_ep" --metrics \
-      --out="$art/fleet_metrics_2.txt"
-  python3 "$src/tools/check_metrics.py" --diff-exposition \
-      "$art/fleet_metrics_1.txt" "$art/fleet_metrics_2.txt"
   # Merged-telemetry stats reply: per-worker snapshots + their exact sum,
   # archived and schema-validated (the validator recomputes the merge).
   "$rel/tools/trojanscout_cli" submit --socket="$fleet_ep" --stats --json \
       >"$art/fleet_stats.json"
   "$rel/tools/trojanscout_cli" submit --socket="$fleet_ep" --stats \
       >"$art/fleet_stats.txt"
-  # Live dashboard against the running fleet: one machine-readable poll
-  # (archived + schema-validated below) and a two-poll rendered run that
-  # must exit cleanly on its own.
-  "$rel/tools/trojanscout_cli" top --socket="$fleet_ep" --once --json \
-      >"$art/fleet_top.json"
-  "$rel/tools/trojanscout_cli" top --socket="$fleet_ep" --polls=2 \
-      --interval-ms=200 >"$art/fleet_top.txt"
-  if ! grep -q "jobs" "$art/fleet_top.txt"; then
-    echo "FAIL: top did not render a fleet header"
-    exit 1
-  fi
   kill -TERM "$fleet_pid" 2>/dev/null || true
   wait "$fleet_pid" 2>/dev/null || true
   # The stitched trace is finalized at coordinator stop(); every fleet
   # artifact must exist before validation below.
-  for f in fleet_trace.json fleet_events.jsonl fleet_stats.json \
-      fleet_metrics_1.txt fleet_metrics_2.txt fleet_top.json; do
+  for f in fleet_trace.json fleet_events.jsonl fleet_stats.json; do
     if ! [ -s "$art/$f" ]; then
       echo "FAIL: fleet smoke did not produce $f"
       exit 1
@@ -339,11 +322,6 @@ if command -v python3 >/dev/null 2>&1; then
   if ! grep -q '"name":"bmc:frame","ph":"E",[^}]*"decisions":' \
       "$art/fleet_trace.json"; then
     echo "FAIL: stitched fleet trace lost the worker frame-span args"
-    exit 1
-  fi
-  # The unmeetable 1 ms SLO must have produced structured breach events.
-  if ! grep -q '"type": *"slo_breach"' "$art/fleet_events.jsonl"; then
-    echo "FAIL: fleet events lack slo_breach records despite a 1ms SLO"
     exit 1
   fi
 
@@ -360,9 +338,7 @@ if command -v python3 >/dev/null 2>&1; then
       "$art/audit_profile.json" "$art/audit_metrics.jsonl" \
       "$art/audit_cached_metrics.jsonl" "$art/audit_frames_trace.json" \
       "$art/fleet_trace.json" "$art/fleet_events.jsonl" \
-      "$art/fleet_stats.json" "$art/fleet_top.json" \
-      "$art/fleet_metrics_1.txt" "$art/fleet_metrics_2.txt" \
-      "$art"/fleet-run/worker*.events.jsonl
+      "$art/fleet_stats.json" "$art"/fleet-run/worker*.events.jsonl
 
   echo "=== [release] bench regression gate ==="
   python3 "$src/tools/bench_compare.py" --self-test

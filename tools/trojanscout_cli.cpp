@@ -32,7 +32,7 @@
 //                          [--cache off|ro|rw] [--cache-max-mb N] [--jobs N]
 //                          [--l2-dir DIR] [--l2-max-mb N] [--read-timeout S]
 //                          [--port-file FILE] [--events-out e.jsonl]
-//                          [--events-max-mb N] [--sample-interval-ms MS]
+//                          [--events-max-mb N]
 //   trojanscout_cli serve-fleet --socket ENDPOINT
 //                          (--workers EP1,EP2,... | --spawn N)
 //                          [--l2-dir DIR] [--l2-max-mb N] [--queue-cap N]
@@ -40,17 +40,13 @@
 //                          [--run-dir DIR] [--port-file FILE]
 //                          [--health-interval S] [--worker-timeout S]
 //                          [--trace-out t.json] [--events-out e.jsonl]
-//                          [--events-max-mb N] [--sample-interval-ms MS]
-//                          [--slo-ms N] [--slo-obligation-ms N]
+//                          [--events-max-mb N]
 //   trojanscout_cli submit --socket ENDPOINT --design ip.v --spec ip.spec
 //                          [--engine ENGINE] [--frames N] [--budget S]
 //                          [--no-scan] [--no-bypass] [--id NAME]
 //                          [--connect-retries N] [--overload-retries N]
 //                          [--signature-out FILE] [--quiet]
 //   trojanscout_cli submit --socket ENDPOINT --stats [--json]
-//   trojanscout_cli submit --socket ENDPOINT --metrics [--out FILE]
-//   trojanscout_cli top    --socket ENDPOINT [--interval-ms MS]
-//                          [--once] [--polls N] [--json]
 //
 // `audit` runs the paper's full Algorithm 1 over every register with a spec
 // block, scheduling the independent property checks across --jobs worker
@@ -88,26 +84,14 @@
 // clocks rebased into the coordinator's namespace); --events-out on
 // serve/serve-fleet appends a `trojanscout-events-v1` JSONL stream of
 // operational events (worker eviction, re-shards, retry-after refusals,
-// claim steals, corrupt-entry skips, SLO breaches) — --events-max-mb
+// claim steals, corrupt-entry skips) — --events-max-mb
 // rotates the stream to FILE.1 when it grows past the cap, and with
 // --spawn, each worker also gets its own workerN.events.jsonl under the
 // run dir. `submit --stats` queries a daemon or coordinator; against a
 // coordinator the reply merges every worker's telemetry registry exactly
 // (counters summed, histogram buckets added) and carries the
-// slowest-obligations table.
-//
-// Continuous monitoring (PR 9): serve and serve-fleet run a background
-// sampler (--sample-interval-ms, 0 disables) that snapshots the counter
-// registry into a bounded in-memory time series — counters become
-// rate-over-window, timers become per-window p50/p90/p99 — carried in
-// every stats reply under "series". `submit --metrics` scrapes the same
-// state as Prometheus text exposition (the coordinator's scrape fans out
-// to every live worker and merges before rendering); `top` polls stats
-// into a live refreshing dashboard (per-worker throughput, cache hit
-// rate, queue depth, sparkline rate history, slowest obligations).
-// --slo-ms / --slo-obligation-ms arm deadline tracking on the
-// coordinator: breaches tick slo.* burn-rate counters and emit
-// `slo_breach` event records. In an `audit --trace-out` trace every
+// slowest-obligations table; it is the one live view of a daemon or
+// fleet. In an `audit --trace-out` trace every
 // engine frame span (`bmc:frame`, `atpg:frame`, `pdr:frontier`) carries
 // that frame's solver/search counter deltas as args.
 //
@@ -132,7 +116,6 @@
 #include <fstream>
 #include <iostream>
 #include <iterator>
-#include <map>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -224,7 +207,7 @@ int usage() {
          "               [--cache off|ro|rw] [--cache-max-mb N] [--jobs N]\n"
          "               [--l2-dir DIR] [--l2-max-mb N] [--read-timeout S]\n"
          "               [--port-file FILE] [--events-out e.jsonl]\n"
-         "               [--events-max-mb N] [--sample-interval-ms MS]\n"
+         "               [--events-max-mb N]\n"
          "               audit daemon (NDJSON over unix:/path or\n"
          "               tcp:host:port; port 0 = ephemeral)\n"
          "  serve-fleet --socket ENDPOINT\n"
@@ -234,8 +217,7 @@ int usage() {
          "               [--run-dir DIR] [--port-file FILE]\n"
          "               [--health-interval S] [--worker-timeout S]\n"
          "               [--trace-out t.json] [--events-out e.jsonl]\n"
-         "               [--events-max-mb N] [--sample-interval-ms MS]\n"
-         "               [--slo-ms N] [--slo-obligation-ms N]\n"
+         "               [--events-max-mb N]\n"
          "               shard coordinator over N worker daemons\n"
          "  submit     --socket ENDPOINT --design ip.v --spec ip.spec\n"
          "               [--engine ENGINE] [--frames N] [--budget S]\n"
@@ -247,14 +229,6 @@ int usage() {
          "  submit     --socket ENDPOINT --stats [--json]\n"
          "               query daemon/fleet stats (merged telemetry,\n"
          "               per-worker breakdown, slowest obligations)\n"
-         "  submit     --socket ENDPOINT --metrics [--out FILE]\n"
-         "               scrape Prometheus text exposition (a fleet\n"
-         "               scrape merges every live worker's registry)\n"
-         "  top        --socket ENDPOINT [--interval-ms MS]\n"
-         "               [--once] [--polls N] [--json]\n"
-         "               [--connect-retries N] [--connect-delay-ms MS]\n"
-         "               live dashboard: throughput sparklines, cache\n"
-         "               hit rate, queue depth, per-worker rates\n"
          "\n"
          "  --version  print the build's git revision\n"
          "\n"
@@ -761,7 +735,6 @@ int cmd_serve(const util::CliParser& cli) {
   options.cache = verdict_cache.get();
   options.l2 = l2_cache.get();
   options.read_timeout_seconds = cli.get_double("read-timeout", 0.0);
-  options.sample_interval_ms = cli.get_double("sample-interval-ms", 1000.0);
 
   service::AuditDaemon daemon(options);
   daemon.start();
@@ -818,10 +791,6 @@ SpawnedWorker spawn_worker(const util::CliParser& cli,
     args.push_back("--l2-max-mb");
     args.push_back(std::to_string(cli.get_int("l2-max-mb", 512)));
   }
-  // Workers inherit the coordinator's sampling cadence so a fleet scrape
-  // sees every registry windowed on the same clock.
-  args.push_back("--sample-interval-ms");
-  args.push_back(std::to_string(cli.get_double("sample-interval-ms", 1000.0)));
   if (!cli.get_string("events-out", "").empty()) {
     // The coordinator's event log covers fleet-level events; each spawned
     // worker gets its own sink for what only it observes (claim steals,
@@ -880,10 +849,6 @@ int cmd_serve_fleet(const util::CliParser& cli) {
   options.read_timeout_seconds = cli.get_double("read-timeout", 0.0);
   options.worker_timeout_seconds = cli.get_double("worker-timeout", 600.0);
   options.health_interval_seconds = cli.get_double("health-interval", 2.0);
-  options.sample_interval_ms = cli.get_double("sample-interval-ms", 1000.0);
-  options.slo_job_ms = static_cast<std::uint64_t>(cli.get_int("slo-ms", 0));
-  options.slo_obligation_ms =
-      static_cast<std::uint64_t>(cli.get_int("slo-obligation-ms", 0));
 
   const std::string workers_flag = cli.get_string("workers", "");
   const long spawn_count = cli.get_int("spawn", 0);
@@ -1097,43 +1062,6 @@ int cmd_submit_stats(const util::CliParser& cli, const std::string& endpoint,
   return 0;
 }
 
-/// `submit --metrics`: one metrics round-trip. The Prometheus text
-/// exposition is unwrapped from its NDJSON envelope and written raw
-/// (stdout, or --out FILE) — ready for a scraper, promtool, or
-/// check_metrics.py's exposition validator. Against a coordinator the
-/// scrape fans out to every live worker and merges registries first.
-int cmd_submit_metrics(const util::CliParser& cli, const std::string& endpoint,
-                       const service::ConnectRetry& retry) {
-  service::Client client(endpoint, retry);
-  client.send_line(service::control_request_line("metrics"));
-  proof::Json response;
-  if (!client.read_response(response)) {
-    std::cerr << "error: connection closed before a metrics reply\n";
-    return 1;
-  }
-  const proof::Json* type = response.find("type");
-  if (type == nullptr || !type->is_string() ||
-      type->as_string() != "metrics") {
-    std::cerr << "error: unexpected reply: " << response.dump() << "\n";
-    return 1;
-  }
-  const proof::Json* body = response.find("body");
-  if (body == nullptr || !body->is_string()) {
-    std::cerr << "error: metrics reply carries no body\n";
-    return 1;
-  }
-  const std::string out = cli.get_string("out", "");
-  if (out.empty()) {
-    std::cout << body->as_string();
-  } else {
-    std::ofstream os(out);
-    if (!os) throw std::runtime_error("cannot write " + out);
-    os << body->as_string();
-    std::cout << "exposition written to " << out << "\n";
-  }
-  return 0;
-}
-
 int cmd_submit(const util::CliParser& cli) {
   const std::string endpoint = cli.get_string("socket", "");
   if (endpoint.empty()) throw std::runtime_error("--socket is required");
@@ -1143,9 +1071,6 @@ int cmd_submit(const util::CliParser& cli) {
   submit_retry.base_delay_ms = cli.get_double("connect-delay-ms", 50.0);
   if (cli.get_bool("stats", false)) {
     return cmd_submit_stats(cli, endpoint, submit_retry);
-  }
-  if (cli.get_bool("metrics", false)) {
-    return cmd_submit_metrics(cli, endpoint, submit_retry);
   }
 
   service::AuditJob job;
@@ -1206,240 +1131,6 @@ int cmd_submit(const util::CliParser& cli) {
     std::cout << "signature written to " << signature_out << "\n";
   }
   return result.trojan_found ? 2 : 0;
-}
-
-// ---- top: live monitoring dashboard ---------------------------------------
-
-volatile std::sig_atomic_t g_top_interrupted = 0;
-void handle_top_signal(int) { g_top_interrupted = 1; }
-
-/// Eight-level unicode sparkline of `values`, scaled to their own peak.
-std::string sparkline(const std::vector<double>& values) {
-  static const char* const kBars[8] = {"▁", "▂", "▃",
-                                       "▄", "▅", "▆",
-                                       "▇", "█"};
-  double peak = 0.0;
-  for (const double v : values) peak = std::max(peak, v);
-  std::string out;
-  for (const double v : values) {
-    int level = 0;
-    if (peak > 0.0 && v > 0.0) {
-      level = std::min(7, std::max(0, static_cast<int>(v / peak * 7.0 + 0.5)));
-    }
-    out += kBars[level];
-  }
-  return out;
-}
-
-/// Numeric field of a stats object, 0.0 when absent or non-numeric.
-double num_field(const proof::Json& obj, const char* key) {
-  const proof::Json* f = obj.find(key);
-  return f != nullptr && f->is_number() ? f->as_double() : 0.0;
-}
-
-/// Pulls one counter's per-window rate history (oldest first) out of a
-/// stats reply's "series" array. Windows where the counter did not move
-/// contribute 0 (the series only stores moved counters).
-std::vector<double> series_rates(const proof::Json& stats,
-                                 const std::string& counter) {
-  std::vector<double> rates;
-  const proof::Json* series = stats.find("series");
-  if (series == nullptr || !series->is_array()) return rates;
-  for (const proof::Json& window : series->items()) {
-    double rate = 0.0;
-    const proof::Json* counters = window.find("counters");
-    if (counters != nullptr && counters->is_object()) {
-      const proof::Json* c = counters->find(counter);
-      if (c != nullptr) rate = num_field(*c, "rate_per_s");
-    }
-    rates.push_back(rate);
-  }
-  return rates;
-}
-
-/// Poll-to-poll state for derived rates (per-worker jobs/s).
-struct TopState {
-  std::map<std::string, double> prev_worker_jobs;
-  double prev_jobs = -1.0;
-  std::chrono::steady_clock::time_point prev_time;
-  bool have_prev = false;
-};
-
-/// Renders one dashboard frame from a stats reply. The whole frame is
-/// assembled off-screen and written in one shot (less flicker on redraw).
-void render_top(const proof::Json& stats, const std::string& endpoint,
-                TopState& state, bool clear) {
-  const auto now = std::chrono::steady_clock::now();
-  const double dt = state.have_prev
-                        ? std::chrono::duration<double>(now - state.prev_time)
-                              .count()
-                        : 0.0;
-  const double jobs = num_field(stats, "jobs_completed");
-
-  std::ostringstream out;
-  const proof::Json* role = stats.find("role");
-  out << "trojanscout top — " << endpoint;
-  if (role != nullptr && role->is_string()) {
-    out << " (" << role->as_string() << ")";
-  }
-  out << "\n";
-
-  out << "uptime " << util::cell_double(num_field(stats, "uptime_s"), 1)
-      << " s   jobs " << static_cast<std::uint64_t>(jobs);
-  if (dt > 0.0 && state.prev_jobs >= 0.0) {
-    out << " ("
-        << util::cell_double(std::max(0.0, jobs - state.prev_jobs) / dt, 2)
-        << "/s)";
-  }
-
-  // Cache hit rate: prefer the daemon's own VerdictCache counters; a
-  // coordinator reply carries them inside the merged telemetry registry.
-  double hits = num_field(stats, "cache_hits");
-  double misses = num_field(stats, "cache_misses");
-  const proof::Json* tel = stats.find("telemetry");
-  if (hits + misses <= 0.0 && tel != nullptr && tel->is_object()) {
-    const proof::Json* counters = tel->find("counters");
-    if (counters != nullptr && counters->is_object()) {
-      for (const auto& [name, value] : counters->entries()) {
-        if (name == "cache.hit" || name == "cache.l1_hit" ||
-            name == "cache.l2_hit") {
-          hits += value.as_double();
-        } else if (name == "cache.miss") {
-          misses += value.as_double();
-        }
-      }
-    }
-  }
-  if (hits + misses > 0.0) {
-    out << "   cache hit "
-        << util::cell_double(100.0 * hits / (hits + misses), 1) << "%";
-  }
-
-  const proof::Json* workers = stats.find("workers");
-  const bool fleet = workers != nullptr && workers->is_array();
-  if (fleet) {
-    double queue = 0.0;
-    for (const proof::Json& w : workers->items()) {
-      queue += num_field(w, "outstanding");
-    }
-    out << "   queue depth " << static_cast<std::uint64_t>(queue);
-  }
-  const proof::Json* slo = stats.find("slo");
-  if (slo != nullptr && slo->is_object() &&
-      (num_field(*slo, "job_ms") > 0.0 ||
-       num_field(*slo, "obligation_ms") > 0.0)) {
-    out << "   slo breaches "
-        << static_cast<std::uint64_t>(num_field(*slo, "job_breaches"))
-        << " job / "
-        << static_cast<std::uint64_t>(num_field(*slo, "obligation_breaches"))
-        << " obligation";
-  }
-  out << "\n";
-
-  // Sparkline rate history from the sampler's windowed series.
-  const std::string prefix = fleet ? "fleet" : "service";
-  for (const std::string suffix : {".jobs", ".obligations"}) {
-    const std::string counter = prefix + suffix;
-    const std::vector<double> rates = series_rates(stats, counter);
-    if (rates.empty()) continue;
-    out << counter << "/s  " << sparkline(rates) << "  now "
-        << util::cell_double(rates.back(), 2) << "/s\n";
-  }
-
-  if (clear) std::cout << "\x1b[H\x1b[J";
-  std::cout << out.str();
-
-  if (fleet && !workers->items().empty()) {
-    util::Table table({"worker", "alive", "responding", "outstanding",
-                       "jobs", "jobs/s"});
-    for (const proof::Json& w : workers->items()) {
-      if (!w.is_object()) continue;
-      const proof::Json* ep = w.find("endpoint");
-      const std::string name =
-          ep != nullptr && ep->is_string() ? ep->as_string() : "?";
-      const double worker_jobs = num_field(w, "jobs_completed");
-      std::string rate = "-";
-      const auto it = state.prev_worker_jobs.find(name);
-      if (it != state.prev_worker_jobs.end() && dt > 0.0) {
-        rate = util::cell_double(
-            std::max(0.0, worker_jobs - it->second) / dt, 2);
-      }
-      state.prev_worker_jobs[name] = worker_jobs;
-      const auto str = [&w](const char* key) -> std::string {
-        const proof::Json* f = w.find(key);
-        return f != nullptr ? cell_json(*f) : "";
-      };
-      table.add_row({name, str("alive"), str("responding"),
-                     str("outstanding"), str("jobs_completed"), rate});
-    }
-    std::cout << "workers:\n";
-    table.print(std::cout);
-  }
-  const proof::Json* slowest = stats.find("slowest");
-  if (slowest != nullptr) print_slowest_table(*slowest);
-  std::cout.flush();
-
-  state.prev_jobs = jobs;
-  state.prev_time = now;
-  state.have_prev = true;
-}
-
-/// `top`: polls a daemon or coordinator's stats verb into a live
-/// refreshing dashboard. --once (= --polls 1) and --json make it
-/// scriptable: one machine-readable snapshot per poll on stdout.
-int cmd_top(const util::CliParser& cli) {
-  const std::string endpoint = cli.get_string("socket", "");
-  if (endpoint.empty()) throw std::runtime_error("--socket is required");
-  const double interval_ms = cli.get_double("interval-ms", 1000.0);
-  const bool json = cli.get_bool("json", false);
-  long polls = cli.get_int("polls", 0);  // 0 = until SIGINT
-  if (cli.get_bool("once", false)) polls = 1;
-
-  service::ConnectRetry retry;
-  retry.attempts = static_cast<int>(cli.get_int("connect-retries", 1));
-  retry.base_delay_ms = cli.get_double("connect-delay-ms", 50.0);
-
-  std::signal(SIGINT, handle_top_signal);
-  std::signal(SIGTERM, handle_top_signal);
-
-  TopState state;
-  long done = 0;
-  bool first = true;
-  while (g_top_interrupted == 0) {
-    proof::Json stats;
-    {
-      service::Client client(endpoint, retry);
-      client.send_line(service::control_request_line("stats"));
-      if (!client.read_response(stats)) {
-        std::cerr << "error: connection closed before a stats reply\n";
-        return 1;
-      }
-    }
-    const proof::Json* type = stats.find("type");
-    if (type == nullptr || !type->is_string() ||
-        type->as_string() != "stats") {
-      std::cerr << "error: unexpected reply: " << stats.dump() << "\n";
-      return 1;
-    }
-    if (json) {
-      std::cout << stats.dump_pretty() << "\n" << std::flush;
-    } else {
-      // Redraw in place only on a terminal; piped output stays appendable.
-      render_top(stats, endpoint, state,
-                 /*clear=*/!first && ::isatty(STDOUT_FILENO) != 0);
-    }
-    first = false;
-    if (polls > 0 && ++done >= polls) break;
-    // Sleep in short slices so SIGINT lands promptly between polls.
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration<double, std::milli>(interval_ms);
-    while (g_top_interrupted == 0 &&
-           std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-  }
-  return 0;
 }
 
 int cmd_fuzz(const util::CliParser& cli) {
@@ -1622,21 +1313,16 @@ const std::vector<Subcommand>& subcommands() {
       {"serve", cmd_serve,
        {"socket", "cache-dir", "cache", "cache-max-mb", "jobs", "l2-dir",
         "l2-max-mb", "read-timeout", "port-file", "events-out",
-        "events-max-mb", "sample-interval-ms"}},
+        "events-max-mb"}},
       {"serve-fleet", cmd_serve_fleet,
        {"socket", "workers", "spawn", "l2-dir", "l2-max-mb", "queue-cap",
         "retry-after-ms", "worker-jobs", "run-dir", "port-file",
         "health-interval", "worker-timeout", "read-timeout", "trace-out",
-        "events-out", "events-max-mb", "sample-interval-ms", "slo-ms",
-        "slo-obligation-ms"}},
+        "events-out", "events-max-mb"}},
       {"submit", cmd_submit,
        {"socket", "design", "spec", "engine", "frames", "budget", "no-scan",
         "no-bypass", "id", "connect-retries", "connect-delay-ms",
-        "overload-retries", "signature-out", "quiet", "stats", "json",
-        "metrics", "out"}},
-      {"top", cmd_top,
-       {"socket", "interval-ms", "once", "polls", "json", "connect-retries",
-        "connect-delay-ms"}},
+        "overload-retries", "signature-out", "quiet", "stats", "json"}},
   };
   return table;
 }
